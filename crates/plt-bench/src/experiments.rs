@@ -1639,7 +1639,7 @@ pub fn x14_json(cells: &[SimdCell], kernels: &[KernelCell], scale: Scale) -> Str
 /// point queries through one serving model over real TCP sockets.
 #[derive(Debug, Clone)]
 pub struct ServeLoadCell {
-    /// Serving model, `threads` or `reactor`.
+    /// Serving loop: `reactor` on Linux (see [`SERVER_LOOP`]).
     pub model: String,
     /// Concurrent connections held open for the whole measurement.
     pub clients: usize,
@@ -1683,9 +1683,17 @@ pub struct IdleCell {
 pub struct ServeCells {
     /// Idle-connection ceiling (reactor only).
     pub idle: Option<IdleCell>,
-    /// Throughput/latency grid: models x client counts.
+    /// Throughput/latency grid: one cell per client count.
     pub load: Vec<ServeLoadCell>,
 }
+
+/// The serving loop X16 measures: the reactor on Linux, the blocking
+/// fallback elsewhere.
+pub const SERVER_LOOP: &str = if cfg!(target_os = "linux") {
+    "reactor"
+} else {
+    "blocking"
+};
 
 /// Raises the `RLIMIT_NOFILE` soft limit so the idle-connection probe
 /// can hold tens of thousands of sockets — each in-process connection
@@ -1915,15 +1923,15 @@ fn x16_drive_load(
     (started.elapsed().as_secs_f64(), lat)
 }
 
-/// X16 — async serving: the epoll reactor vs the thread-per-connection
-/// model over real TCP sockets, plus the reactor's idle-connection
-/// ceiling. The snapshot is small on purpose: the engine answers in
+/// X16 — async serving: the epoll reactor over real TCP sockets at
+/// several client counts, plus its idle-connection ceiling. The
+/// snapshot is small on purpose: the engine answers in
 /// microseconds, so the transport and scheduling — not the miner — are
 /// what the numbers show. Every wire reply is asserted byte-identical
 /// to the engine's in-process answer before it is counted.
 pub fn x16_serve_cells(scale: Scale) -> ServeCells {
     use plt_rules::RuleConfig;
-    use plt_serve::{serve, Engine, Request, ServerConfig, ServerModel, Snapshot};
+    use plt_serve::{serve, Engine, Request, ServerConfig, Snapshot};
     use std::sync::Arc;
 
     let db = datasets::sparse_small(2_000);
@@ -1966,7 +1974,6 @@ pub fn x16_serve_cells(scale: Scale) -> ServeCells {
             build_engine(),
             None,
             ServerConfig {
-                server_model: ServerModel::Reactor,
                 reactors,
                 accept_backlog: 8_192,
                 max_connections: target + 64,
@@ -2022,49 +2029,40 @@ pub fn x16_serve_cells(scale: Scale) -> ServeCells {
     #[cfg(not(target_os = "linux"))]
     let idle: Option<IdleCell> = None;
 
-    // Throughput/latency grid: both models at each client count; the
-    // thread model is the reactor's differential oracle and baseline.
+    // Throughput/latency grid: one cell per client count.
     let client_counts: Vec<usize> = match scale {
         Scale::Quick => vec![32, 128],
         Scale::Full => vec![64, 512, 4_096],
     };
     let total_ops = scale.pick(6_400, 65_536);
-    let models: Vec<ServerModel> = if cfg!(target_os = "linux") {
-        vec![ServerModel::Threads, ServerModel::Reactor]
-    } else {
-        vec![ServerModel::Threads]
-    };
     let mut load = Vec::new();
     for &clients in &client_counts {
-        for &model in &models {
-            let handle = serve(
-                "127.0.0.1:0",
-                build_engine(),
-                None,
-                ServerConfig {
-                    server_model: model,
-                    accept_backlog: 8_192,
-                    max_connections: clients * 2 + 64,
-                    read_deadline: Some(Duration::from_secs(120)),
-                    ..ServerConfig::default()
-                },
-            )
-            .expect("bind load server");
-            let ops_per_conn = (total_ops / clients).max(4);
-            let (elapsed, mut lat) =
-                x16_drive_load(handle.addr(), clients, ops_per_conn, &payload, &expected);
-            lat.sort_unstable();
-            load.push(ServeLoadCell {
-                model: model.as_str().to_string(),
-                clients,
-                ops: lat.len(),
-                elapsed_secs: elapsed,
-                throughput: lat.len() as f64 / elapsed,
-                p50_us: percentile_us(&lat, 0.50),
-                p99_us: percentile_us(&lat, 0.99),
-            });
-            handle.shutdown();
-        }
+        let handle = serve(
+            "127.0.0.1:0",
+            build_engine(),
+            None,
+            ServerConfig {
+                accept_backlog: 8_192,
+                max_connections: clients * 2 + 64,
+                read_deadline: Some(Duration::from_secs(120)),
+                ..ServerConfig::default()
+            },
+        )
+        .expect("bind load server");
+        let ops_per_conn = (total_ops / clients).max(4);
+        let (elapsed, mut lat) =
+            x16_drive_load(handle.addr(), clients, ops_per_conn, &payload, &expected);
+        lat.sort_unstable();
+        load.push(ServeLoadCell {
+            model: SERVER_LOOP.to_string(),
+            clients,
+            ops: lat.len(),
+            elapsed_secs: elapsed,
+            throughput: lat.len() as f64 / elapsed,
+            p50_us: percentile_us(&lat, 0.50),
+            p99_us: percentile_us(&lat, 0.99),
+        });
+        handle.shutdown();
     }
 
     ServeCells { idle, load }
@@ -2073,7 +2071,7 @@ pub fn x16_serve_cells(scale: Scale) -> ServeCells {
 /// X16 rendered as a table.
 pub fn x16_table(cells: &ServeCells) -> Table {
     let mut table = Table::new(
-        "X16: async serving — reactor vs thread-per-connection, idle ceiling",
+        "X16: async serving — reactor throughput/latency, idle ceiling",
         &["model", "clients", "ops", "elapsed", "ops/s", "p50", "p99"],
     );
     if let Some(idle) = &cells.idle {
@@ -2368,9 +2366,7 @@ pub fn x17_json(cells: &[QueryCell], scale: Scale) -> String {
 }
 
 /// One X18 measurement: the approximate answering tier on one dataset
-/// cell — the indicator sketch against exact answering, and the
-/// Toivonen sampled rebuild against the exact conditional re-mine it
-/// replaces. Every sketch estimate is asserted within its stated error
+/// cell — the indicator sketch against exact answering. Every sketch estimate is asserted within its stated error
 /// bound before any number is reported (a live correctness check, like
 /// the miner-agreement assertions in the sweep cells).
 #[derive(Debug, Clone)]
@@ -2414,14 +2410,6 @@ pub struct ApproxCell {
     pub oracle_us: f64,
     /// `exact_us / sketch_us`.
     pub speedup: f64,
-    /// Best wall time of one Toivonen sampled rebuild (always exact).
-    pub sampled_rebuild_secs: f64,
-    /// Best wall time of the exact conditional re-mine it replaces.
-    pub exact_rebuild_secs: f64,
-    /// `exact_rebuild_secs / sampled_rebuild_secs`.
-    pub rebuild_speedup: f64,
-    /// Whether the timed sampled rebuild lost the gamble and fell back.
-    pub sampled_fell_back: bool,
 }
 
 /// X18 — the approximate tier: sketch memory and probe latency vs the
@@ -2435,7 +2423,7 @@ pub struct ApproxCell {
 /// [`x18_table`] for the rendered table and [`x18_json`] for the
 /// committed `BENCH_approx.json` record.
 pub fn x18_approx_cells(scale: Scale) -> Vec<ApproxCell> {
-    use plt_approx::{IndicatorSketch, SampledRebuild, SketchConfig};
+    use plt_approx::{IndicatorSketch, SketchConfig};
     use plt_query::{MemSource, PhysOp, Rows, Source, SupportSketch};
     use plt_rules::RuleConfig;
 
@@ -2612,19 +2600,6 @@ pub fn x18_approx_cells(scale: Scale) -> Vec<ApproxCell> {
         let exact_us = t_exact.as_secs_f64() * 1e6 / infrequent.len() as f64;
         let oracle_us = t_oracle.as_secs_f64() * 1e6 / exact_exprs.len() as f64;
 
-        // Rebuild: the Toivonen gamble vs the exact re-mine, answers
-        // asserted identical (the sampled path is always exact).
-        let sampler = SampledRebuild::default();
-        let ((sampled_result, outcome), t_sampled) =
-            time_best(runs, || sampler.mine(&db, min_sup, 1));
-        let (exact_result, t_exact_rebuild) =
-            time_best(runs, || ConditionalMiner::default().mine(&db, min_sup));
-        assert_eq!(
-            sampled_result.sorted(),
-            exact_result.sorted(),
-            "{dataset}: sampled rebuild must stay exact"
-        );
-
         cells.push(ApproxCell {
             dataset,
             transactions: db.len(),
@@ -2642,10 +2617,6 @@ pub fn x18_approx_cells(scale: Scale) -> Vec<ApproxCell> {
             exact_us,
             oracle_us,
             speedup: exact_us / sketch_us.max(1e-3),
-            sampled_rebuild_secs: t_sampled.as_secs_f64(),
-            exact_rebuild_secs: t_exact_rebuild.as_secs_f64(),
-            rebuild_speedup: t_exact_rebuild.as_secs_f64() / t_sampled.as_secs_f64().max(1e-9),
-            sampled_fell_back: outcome.fell_back,
         });
     }
     cells
@@ -2654,7 +2625,7 @@ pub fn x18_approx_cells(scale: Scale) -> Vec<ApproxCell> {
 /// X18 rendered as a table.
 pub fn x18_table(cells: &[ApproxCell]) -> Table {
     let mut table = Table::new(
-        "X18: approximate tier — sketch memory & latency vs exact, sampled rebuild vs re-mine",
+        "X18: approximate tier — sketch memory & latency vs exact",
         &[
             "dataset",
             "kept",
@@ -2664,7 +2635,6 @@ pub fn x18_table(cells: &[ApproxCell]) -> Table {
             "exact",
             "oracle",
             "speedup",
-            "rebuild",
         ],
     );
     for c in cells {
@@ -2677,7 +2647,6 @@ pub fn x18_table(cells: &[ApproxCell]) -> Table {
             format!("{:.1}us", c.exact_us),
             format!("{:.1}us", c.oracle_us),
             format!("{:.1}x", c.speedup),
-            format!("{:.2}x", c.rebuild_speedup),
         ]);
     }
     table
@@ -2712,9 +2681,7 @@ pub fn x18_json(cells: &[ApproxCell], scale: Scale) -> String {
              \"sketch_bytes\": {}, \"window_bytes\": {}, \"memory_fraction\": {:.4}, \
              \"probes\": {}, \"max_abs_error\": {}, \"max_bound\": {}, \
              \"sketch_us\": {:.3}, \"exact_us\": {:.3}, \"oracle_us\": {:.3}, \
-             \"speedup\": {:.3}, \
-             \"sampled_rebuild_secs\": {:.6}, \"exact_rebuild_secs\": {:.6}, \
-             \"rebuild_speedup\": {:.3}, \"sampled_fell_back\": {}}}{}\n",
+             \"speedup\": {:.3}}}{}\n",
             c.dataset,
             c.transactions,
             c.min_sup,
@@ -2731,10 +2698,6 @@ pub fn x18_json(cells: &[ApproxCell], scale: Scale) -> String {
             c.exact_us,
             c.oracle_us,
             c.speedup,
-            c.sampled_rebuild_secs,
-            c.exact_rebuild_secs,
-            c.rebuild_speedup,
-            c.sampled_fell_back,
             if i + 1 < cells.len() { "," } else { "" }
         ));
     }
@@ -2923,8 +2886,8 @@ mod tests {
     #[test]
     fn x18_sketch_stays_bounded_cheap_and_small_and_emits_json() {
         let cells = x18_approx_cells(Scale::Quick);
-        // One cell per workload; within-bound, sampled-rebuild-exactness,
-        // and sketch-actually-sampling are asserted inside the builder.
+        // One cell per workload; within-bound and sketch-actually-sampling
+        // are asserted inside the builder.
         assert_eq!(cells.len(), 3);
         for c in &cells {
             assert!(
@@ -2948,7 +2911,6 @@ mod tests {
                 c.exact_us
             );
             assert!(c.oracle_us > 0.0);
-            assert!(c.sampled_rebuild_secs > 0.0 && c.exact_rebuild_secs > 0.0);
         }
         let json = x18_json(&cells, Scale::Quick);
         assert!(json.contains("\"experiment\": \"x18_approx\""));
@@ -2963,9 +2925,9 @@ mod tests {
         use std::sync::Arc;
 
         use plt_rules::RuleConfig;
-        use plt_serve::{serve, Engine, Request, ServerConfig, ServerModel, Snapshot};
+        use plt_serve::{serve, Engine, Request, ServerConfig, Snapshot};
 
-        // Bounded live smoke: a small herd on each model, every wire
+        // Bounded live smoke: a small herd, every wire
         // reply asserted against the in-process answer inside the
         // driver. The full grid (and the idle ceiling) runs via
         // `experiments --exp x16`; keeping the herd small here keeps
@@ -2988,41 +2950,22 @@ mod tests {
         let payload = request.to_json().to_string();
         let expected = engine.handle(&request);
 
-        let models: Vec<ServerModel> = if cfg!(target_os = "linux") {
-            vec![ServerModel::Threads, ServerModel::Reactor]
-        } else {
-            vec![ServerModel::Threads]
-        };
-        let mut load = Vec::new();
-        for model in models {
-            let handle = serve(
-                "127.0.0.1:0",
-                engine.clone(),
-                None,
-                ServerConfig {
-                    server_model: model,
-                    ..ServerConfig::default()
-                },
-            )
-            .expect("bind");
-            let (elapsed, mut lat) = x16_drive_load(handle.addr(), 8, 4, &payload, &expected);
-            lat.sort_unstable();
-            assert_eq!(lat.len(), 32, "{model:?}: 8 clients x 4 ops");
-            assert!(elapsed > 0.0);
-            load.push(ServeLoadCell {
-                model: model.as_str().to_string(),
-                clients: 8,
-                ops: lat.len(),
-                elapsed_secs: elapsed,
-                throughput: lat.len() as f64 / elapsed,
-                p50_us: percentile_us(&lat, 0.50),
-                p99_us: percentile_us(&lat, 0.99),
-            });
-            handle.shutdown();
-        }
-        for c in &load {
-            assert!(c.throughput > 0.0 && c.p99_us >= c.p50_us, "{}", c.model);
-        }
+        let handle = serve("127.0.0.1:0", engine, None, ServerConfig::default()).expect("bind");
+        let (elapsed, mut lat) = x16_drive_load(handle.addr(), 8, 4, &payload, &expected);
+        handle.shutdown();
+        lat.sort_unstable();
+        assert_eq!(lat.len(), 32, "8 clients x 4 ops");
+        assert!(elapsed > 0.0);
+        let load = vec![ServeLoadCell {
+            model: SERVER_LOOP.to_string(),
+            clients: 8,
+            ops: lat.len(),
+            elapsed_secs: elapsed,
+            throughput: lat.len() as f64 / elapsed,
+            p50_us: percentile_us(&lat, 0.50),
+            p99_us: percentile_us(&lat, 0.99),
+        }];
+        assert!(load[0].throughput > 0.0 && load[0].p99_us >= load[0].p50_us);
 
         let cells = ServeCells {
             idle: Some(IdleCell {

@@ -296,12 +296,6 @@ pub enum Command {
         /// recovered and the `--input` warmup is only applied on a fresh
         /// one.
         data_dir: Option<String>,
-        /// Serving concurrency model: thread-per-connection or the
-        /// epoll reactor (Linux; falls back to threads elsewhere).
-        server_model: plt_serve::ServerModel,
-        /// Snapshot rebuild mode: incremental shard re-mine (default)
-        /// or Toivonen-style sampled re-mine with exact fallback.
-        rebuild_mode: plt_serve::RebuildMode,
         /// Indicator-sketch error rate ε; attaches an approximate
         /// `SUPPORT OF` tier to every snapshot. `None` disables it.
         sketch_eps: Option<f64>,
@@ -386,9 +380,9 @@ usage:
   plt-mine serve --input <file.dat> --min-sup <frac|count>
                  [--addr 127.0.0.1:7878] [--min-conf <frac>] [--window N]
                  [--fault-seed S] [--deadline-ms MS] [--data-dir <dir>]
-                 [--server-model threads|reactor]
-                 [--rebuild-mode incremental|sampled]
                  [--sketch-eps E [--sketch-delta D]]
+                 (--server-model reactor is accepted but deprecated: the
+                 reactor is the only server model)
   plt-mine store inspect --data-dir <dir>
   plt-mine query --addr <host:port> [--itemset \"1 2 3\" ...] [--top N]
                  [--recommend \"1 2\"] [--expr <query>] [--explain]
@@ -734,8 +728,6 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
             let mut min_conf = 0.5;
             let (mut fault_seed, mut deadline_ms) = (None, None);
             let mut data_dir = None;
-            let mut server_model = plt_serve::ServerModel::default();
-            let mut rebuild_mode = plt_serve::RebuildMode::default();
             let (mut sketch_eps, mut sketch_delta) = (None, 0.01);
             while let Some(flag) = cur.next_flag() {
                 match flag {
@@ -769,13 +761,21 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
                         })?)
                     }
                     "--data-dir" => data_dir = Some(cur.value(flag)?.to_string()),
-                    "--server-model" => {
-                        server_model =
-                            plt_serve::ServerModel::parse(cur.value(flag)?).map_err(ParseError)?
-                    }
-                    "--rebuild-mode" => {
-                        rebuild_mode = cur.value(flag)?.parse().map_err(ParseError)?
-                    }
+                    // Deprecated no-op: the reactor is the only model.
+                    "--server-model" => match cur.value(flag)? {
+                        "reactor" => {}
+                        "threads" => {
+                            return err(
+                                "--server-model threads was removed: the reactor is the only \
+                                 server model",
+                            )
+                        }
+                        other => {
+                            return err(format!(
+                                "unknown server model {other:?} (only \"reactor\" is accepted)"
+                            ))
+                        }
+                    },
                     "--sketch-eps" => {
                         let v: f64 = cur.value(flag)?.parse().map_err(|e| {
                             ParseError(format!("--sketch-eps must be a number: {e}"))
@@ -809,8 +809,6 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
                 fault_seed,
                 deadline_ms,
                 data_dir,
-                server_model,
-                rebuild_mode,
                 sketch_eps,
                 sketch_delta,
             })
@@ -1106,8 +1104,6 @@ mod tests {
                 fault_seed: None,
                 deadline_ms: None,
                 data_dir: None,
-                server_model: plt_serve::ServerModel::Threads,
-                rebuild_mode: plt_serve::RebuildMode::Incremental,
                 sketch_eps: None,
                 sketch_delta: 0.01,
             }
@@ -1210,46 +1206,26 @@ mod tests {
     }
 
     #[test]
-    fn parses_serve_server_model() {
-        for (spelling, model) in [
-            ("threads", plt_serve::ServerModel::Threads),
-            ("reactor", plt_serve::ServerModel::Reactor),
-        ] {
-            let c = parse(&argv(&[
-                "serve",
-                "--input",
-                "x.dat",
-                "--min-sup",
-                "2",
-                "--server-model",
-                spelling,
-            ]))
-            .unwrap();
-            assert!(matches!(
-                c,
-                Command::Serve { server_model, .. } if server_model == model
-            ));
-        }
+    fn serve_accepts_only_the_reactor_model() {
+        let serve = |extra: &[&str]| {
+            let mut args = vec!["serve", "--input", "x.dat", "--min-sup", "2"];
+            args.extend_from_slice(extra);
+            parse(&argv(&args))
+        };
+        // `--server-model reactor` is a deprecated no-op.
+        assert_eq!(
+            serve(&["--server-model", "reactor"]).unwrap(),
+            serve(&[]).unwrap()
+        );
+        // The thread model is gone, and says so.
+        let e = serve(&["--server-model", "threads"]).unwrap_err();
+        assert!(e.0.contains("threads was removed"), "{}", e.0);
         // Unknown spellings and a missing value are parse errors.
-        assert!(parse(&argv(&[
-            "serve",
-            "--input",
-            "x",
-            "--min-sup",
-            "2",
-            "--server-model",
-            "fibers",
-        ]))
-        .is_err());
-        assert!(parse(&argv(&[
-            "serve",
-            "--input",
-            "x",
-            "--min-sup",
-            "2",
-            "--server-model",
-        ]))
-        .is_err());
+        assert!(serve(&["--server-model", "fibers"]).is_err());
+        assert!(serve(&["--server-model"]).is_err());
+        // The sampled-rebuild switch went with the sampled rebuild.
+        let e = serve(&["--rebuild-mode", "sampled"]).unwrap_err();
+        assert!(e.0.contains("unknown flag \"--rebuild-mode\""), "{}", e.0);
     }
 
     #[test]
@@ -1260,8 +1236,6 @@ mod tests {
             "x.dat",
             "--min-sup",
             "2",
-            "--rebuild-mode",
-            "sampled",
             "--sketch-eps",
             "0.05",
             "--sketch-delta",
@@ -1270,23 +1244,17 @@ mod tests {
         .unwrap();
         match c {
             Command::Serve {
-                rebuild_mode,
                 sketch_eps,
                 sketch_delta,
                 ..
             } => {
-                assert_eq!(
-                    rebuild_mode,
-                    plt_serve::RebuildMode::Sampled(plt_serve::SampledRebuild::default())
-                );
                 assert_eq!(sketch_eps, Some(0.05));
                 assert_eq!(sketch_delta, 0.001);
             }
             _ => panic!(),
         }
-        // Bad mode, out-of-range epsilon, and a dangling delta all fail.
+        // Out-of-range epsilon and a dangling delta fail.
         for bad in [
-            vec!["--rebuild-mode", "psychic"],
             vec!["--sketch-eps", "0"],
             vec!["--sketch-eps", "1.5"],
             vec!["--sketch-delta", "0.1"],

@@ -89,8 +89,6 @@ pub fn execute(command: Command, out: &mut dyn Write) -> CmdResult {
             fault_seed,
             deadline_ms,
             data_dir,
-            server_model,
-            rebuild_mode,
             sketch_eps,
             sketch_delta,
         } => serve(
@@ -102,8 +100,6 @@ pub fn execute(command: Command, out: &mut dyn Write) -> CmdResult {
             fault_seed,
             deadline_ms,
             data_dir.as_deref(),
-            server_model,
-            rebuild_mode,
             sketch_eps,
             sketch_delta,
             out,
@@ -144,8 +140,6 @@ fn serve(
     fault_seed: Option<u64>,
     deadline_ms: Option<u64>,
     data_dir: Option<&str>,
-    server_model: plt_serve::ServerModel,
-    rebuild_mode: plt_serve::RebuildMode,
     sketch_eps: Option<f64>,
     sketch_delta: f64,
     out: &mut dyn Write,
@@ -172,7 +166,6 @@ fn serve(
         fault: fault.clone(),
         data_dir: data_dir.map(std::path::PathBuf::from),
         durable: plt_store::DurableOptions::default(),
-        rebuild_mode,
         sketch: sketch_eps.map(|epsilon| plt_serve::SketchConfig {
             epsilon,
             delta: sketch_delta,
@@ -183,7 +176,6 @@ fn serve(
         .map_err(|e| format!("cannot build snapshot: {e}"))?;
     let snapshot = engine.current();
     let mut server_config = plt_serve::ServerConfig {
-        server_model,
         fault: fault.clone(),
         ..plt_serve::ServerConfig::default()
     };
@@ -196,10 +188,9 @@ fn serve(
         .map_err(|e| format!("cannot bind {addr}: {e}"))?;
     writeln!(
         out,
-        "serving {input} on {} ({} model): {} itemsets, {} rules (min_sup = {abs} of {}); \
+        "serving {input} on {} with {} itemsets, {} rules (min_sup = {abs} of {}); \
          send {{\"op\":\"shutdown\"}} to stop",
         handle.addr(),
-        server_model.as_str(),
         snapshot.num_itemsets(),
         snapshot.num_rules(),
         db.len()
@@ -214,10 +205,6 @@ fn serve(
             "approximate tier active: sketch eps={eps} delta={sketch_delta} (query with APPROX)"
         )
         .map_err(|e| e.to_string())?;
-    }
-    if rebuild_mode != plt_serve::RebuildMode::Incremental {
-        writeln!(out, "sampled rebuilds active (Toivonen, exact fallback)")
-            .map_err(|e| e.to_string())?;
     }
     out.flush().map_err(|e| e.to_string())?;
     handle.join();

@@ -23,9 +23,9 @@ use std::sync::mpsc::{self, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use plt_approx::{IndicatorSketch, SampledRebuild, SketchConfig};
+use plt_approx::{IndicatorSketch, SketchConfig};
 use plt_core::item::{Item, Support};
-use plt_core::{Plt, RankPolicy};
+use plt_core::RankPolicy;
 use plt_rules::RuleConfig;
 use plt_shard::{Delta, RebuildReport, ShardConfig, ShardedPipeline, DEFAULT_SHARD_COUNT};
 use plt_store::{DurableOptions, DurablePipeline, StoreError};
@@ -33,36 +33,6 @@ use plt_store::{DurableOptions, DurablePipeline, StoreError};
 use crate::engine::Engine;
 use crate::fault::FaultPlan;
 use crate::snapshot::Snapshot;
-
-/// How each publish turns the applied window into a snapshot index.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub enum RebuildMode {
-    /// Incremental shard re-mine (the default): only dirty rank-range
-    /// shards are re-mined and clean fragments reused.
-    #[default]
-    Incremental,
-    /// Toivonen-style sampled re-mine of the whole window: mine a
-    /// sample at a slacked threshold, verify the negative border against
-    /// the full window, and fall back to an exact re-mine on a border
-    /// violation — so the published snapshot is exact either way. The
-    /// attempt/violation/fallback tally lands in
-    /// [`Metrics::sampled_report`](crate::metrics::Metrics::sampled_report).
-    Sampled(SampledRebuild),
-}
-
-impl std::str::FromStr for RebuildMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<RebuildMode, String> {
-        match s {
-            "incremental" => Ok(RebuildMode::Incremental),
-            "sampled" => Ok(RebuildMode::Sampled(SampledRebuild::default())),
-            other => Err(format!(
-                "unknown rebuild mode {other:?} (expected \"incremental\" or \"sampled\")"
-            )),
-        }
-    }
-}
 
 /// Builder configuration.
 #[derive(Debug, Clone)]
@@ -91,9 +61,6 @@ pub struct BuilderConfig {
     /// Durable-store policy (fsync batching, resident-shard budget,
     /// checkpoint cadence). Ignored unless `data_dir` is set.
     pub durable: DurableOptions,
-    /// How publishes re-mine the window (incremental shard re-mine, or
-    /// Toivonen-style sampled re-mine with exact fallback).
-    pub rebuild_mode: RebuildMode,
     /// When set, the builder maintains an [`IndicatorSketch`] alongside
     /// the window and attaches it to every published snapshot, giving
     /// the query planner an `APPROX`-tier support path that never
@@ -114,7 +81,6 @@ impl Default for BuilderConfig {
             fault: None,
             data_dir: None,
             durable: DurableOptions::default(),
-            rebuild_mode: RebuildMode::default(),
             sketch: None,
         }
     }
@@ -152,19 +118,11 @@ impl Pipe {
         }
     }
 
-    /// The sliding window as owned transactions — the sampled rebuild
-    /// and sketch warmup both need to walk it.
-    fn window_vec(&self) -> Vec<Vec<Item>> {
+    /// Feeds every window transaction, oldest first, to the sketch.
+    fn observe_window(&self, sketch: &mut IndicatorSketch) {
         match self {
-            Pipe::Memory(p) => p.window().map(<[Item]>::to_vec).collect(),
-            Pipe::Durable(p) => p.pipeline().window().map(<[Item]>::to_vec).collect(),
-        }
-    }
-
-    fn plt_clone(&self) -> Plt {
-        match self {
-            Pipe::Memory(p) => p.plt().clone(),
-            Pipe::Durable(p) => p.pipeline().plt().clone(),
+            Pipe::Memory(p) => p.window().for_each(|t| sketch.observe(t)),
+            Pipe::Durable(p) => p.pipeline().window().for_each(|t| sketch.observe(t)),
         }
     }
 
@@ -306,9 +264,7 @@ pub fn bootstrap(
     let mut sketch = config.sketch.map(|mut sketch_config| {
         sketch_config.capacity = config.window_capacity;
         let mut sk = IndicatorSketch::new(sketch_config);
-        for t in pipeline.window_vec() {
-            sk.observe(&t);
-        }
+        pipeline.observe_window(&mut sk);
         sk
     });
     let mut snapshot = pipeline.snapshot(1, config.rule_config);
@@ -334,8 +290,6 @@ pub fn bootstrap(
     let (tx, rx) = mpsc::channel::<Msg>();
     let engine_for_thread = engine.clone();
     let rule_config = config.rule_config;
-    let rebuild_mode = config.rebuild_mode;
-    let min_support = config.min_support;
     let fault = config.fault.clone();
     let thread = std::thread::Builder::new()
         .name("plt-snapshot-builder".into())
@@ -356,8 +310,6 @@ pub fn bootstrap(
                                         std::mem::take(&mut batch),
                                         generation,
                                         rule_config,
-                                        rebuild_mode,
-                                        min_support,
                                         &mut sketch,
                                         fault.as_deref(),
                                     );
@@ -376,8 +328,6 @@ pub fn bootstrap(
                                 batch,
                                 generation,
                                 rule_config,
-                                rebuild_mode,
-                                min_support,
                                 &mut sketch,
                                 fault.as_deref(),
                             );
@@ -390,8 +340,6 @@ pub fn bootstrap(
                             Vec::new(),
                             generation,
                             rule_config,
-                            rebuild_mode,
-                            min_support,
                             &mut sketch,
                             fault.as_deref(),
                         );
@@ -420,15 +368,12 @@ pub fn bootstrap(
 /// if the rebuild panicked, in which case the engine is marked stale and
 /// keeps serving the last good snapshot. The pipeline retains the applied
 /// batch either way, so a later successful rebuild still covers it.
-#[allow(clippy::too_many_arguments)]
 fn ingest_and_publish(
     pipeline: &mut Pipe,
     engine: &Engine,
     batch: Vec<Vec<Item>>,
     generation: u64,
     rule_config: RuleConfig,
-    rebuild_mode: RebuildMode,
-    min_support: Support,
     sketch: &mut Option<IndicatorSketch>,
     fault: Option<&FaultPlan>,
 ) -> u64 {
@@ -470,19 +415,7 @@ fn ingest_and_publish(
         if let Some(plan) = fault {
             plan.maybe_builder_panic();
         }
-        match rebuild_mode {
-            RebuildMode::Incremental => pipeline.snapshot(next, rule_config),
-            // Sampled fast path: re-mine the whole window from a sample,
-            // verifying the negative border (exact fallback on a
-            // violation), so the snapshot's contents match what the
-            // incremental path would publish.
-            RebuildMode::Sampled(sampler) => {
-                let window = pipeline.window_vec();
-                let (result, outcome) = sampler.mine(&window, min_support, next);
-                engine.metrics().record_sampled(&outcome);
-                Snapshot::build(next, pipeline.plt_clone(), &result, rule_config)
-            }
-        }
+        pipeline.snapshot(next, rule_config)
     }));
     let total = started.elapsed();
     // Phase durations feed the metrics registry whether the rebuild

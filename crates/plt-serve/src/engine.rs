@@ -437,16 +437,6 @@ impl Engine {
                                 "shard_count",
                                 Json::from(self.metrics.shard_count.load(Ordering::Relaxed)),
                             ),
-                            ("sampled", {
-                                let (sampled, attempts, violations, fallbacks) =
-                                    self.metrics.sampled_report();
-                                Json::obj(vec![
-                                    ("rebuilds", Json::from(sampled)),
-                                    ("attempts", Json::from(attempts)),
-                                    ("border_violations", Json::from(violations)),
-                                    ("exact_fallbacks", Json::from(fallbacks)),
-                                ])
-                            }),
                         ])
                     }),
                     ("sketch", {

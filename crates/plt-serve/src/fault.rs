@@ -19,15 +19,18 @@
 //!   buffering and `read_exact`/`write_all` loops);
 //! * **stalls** — an I/O call sleeps first (exercises deadlines);
 //! * **builder panics** — a re-mine panics at a deterministic point
-//!   (exercises graceful degradation to the last good snapshot).
+//!   (exercises graceful degradation to the last good snapshot);
+//! * **holds** — [`FaultPlan::hold_io`] parks every later I/O call until
+//!   [`FaultPlan::release_io`], so a test can pin the server in a stalled
+//!   state without racing a timer.
 //!
 //! Everything is `std`-only. Injected faults are recorded in a bounded
 //! in-memory log ([`FaultPlan::events`]) so tests can assert the exact
 //! sequence.
 
 use std::io::{Read, Write};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 /// Where a fault decision is being drawn. Each site has an independent
@@ -160,6 +163,21 @@ pub struct FaultPlan {
     config: FaultConfig,
     counters: [AtomicU64; SITES],
     events: Mutex<Vec<FaultEvent>>,
+    gate: IoGate,
+}
+
+const GATE_POISONED: &str = "a thread panicked while parked at the fault gate";
+
+/// The gate behind [`FaultPlan::hold_io`]: while `closed`, every I/O
+/// fault draw parks on `changed`. `closed` is cleared only under the
+/// `parked` lock, so a parked call cannot miss the wakeup.
+#[derive(Debug, Default)]
+struct IoGate {
+    /// Checked before any locking, so an open gate costs one load.
+    closed: AtomicBool,
+    /// I/O calls parked at the gate right now.
+    parked: Mutex<usize>,
+    changed: Condvar,
 }
 
 /// SplitMix64: a well-distributed 64-bit mix, `std`-only.
@@ -181,6 +199,7 @@ impl FaultPlan {
             config,
             counters: Default::default(),
             events: Mutex::new(Vec::new()),
+            gate: IoGate::default(),
         }
     }
 
@@ -237,8 +256,18 @@ impl FaultPlan {
         }
     }
 
-    /// Decides the fate of one I/O call at `site`.
+    /// Decides the fate of one I/O call at `site`. Parks first while the
+    /// plan is held (see [`hold_io`](Self::hold_io)).
     pub fn io_fault(&self, site: Site) -> Option<IoFault> {
+        if self.gate.closed.load(Ordering::Acquire) {
+            let mut parked = self.gate.parked.lock().expect(GATE_POISONED);
+            *parked += 1;
+            self.gate.changed.notify_all();
+            while self.gate.closed.load(Ordering::Acquire) {
+                parked = self.gate.changed.wait(parked).expect(GATE_POISONED);
+            }
+            *parked -= 1;
+        }
         if self.config.short_io == 0.0 && self.config.stall == 0.0 {
             // Fast path: keep the counter advancing is unnecessary when
             // nothing can fire — and skipping the draw keeps fault-free
@@ -267,6 +296,32 @@ impl FaultPlan {
             self.record(Site::Builder, seq, "panic".to_string());
             panic!("fault injection: builder panic (seed {})", self.config.seed);
         }
+    }
+
+    /// Closes the gate: every later I/O call through this plan parks
+    /// until [`release_io`](Self::release_io). For tests that need the
+    /// server held mid-I/O for as long as they take.
+    pub fn hold_io(&self) {
+        self.gate.closed.store(true, Ordering::Release);
+    }
+
+    /// Opens the gate and wakes every parked I/O call.
+    pub fn release_io(&self) {
+        let _parked = self.gate.parked.lock().expect(GATE_POISONED);
+        self.gate.closed.store(false, Ordering::Release);
+        self.gate.changed.notify_all();
+    }
+
+    /// Waits until at least one I/O call is parked at the closed gate;
+    /// `false` if none arrived within `timeout`.
+    pub fn wait_parked(&self, timeout: Duration) -> bool {
+        let parked = self.gate.parked.lock().expect(GATE_POISONED);
+        let (parked, _) = self
+            .gate
+            .changed
+            .wait_timeout_while(parked, timeout, |n| *n == 0)
+            .expect(GATE_POISONED);
+        *parked > 0
     }
 
     /// The injected-fault log so far (bounded, see `MAX_EVENTS`).
@@ -419,5 +474,24 @@ mod tests {
         let mut back = Vec::new();
         r.read_to_end(&mut back).unwrap();
         assert_eq!(back, payload);
+    }
+
+    #[test]
+    fn held_io_parks_until_released() {
+        let plan = FaultPlan::shared(FaultConfig::disabled(3));
+        assert!(!plan.wait_parked(Duration::from_millis(1)), "open gate");
+        plan.hold_io();
+        let worker = {
+            let plan = plan.clone();
+            std::thread::spawn(move || plan.io_fault(Site::ServerRead))
+        };
+        assert!(
+            plan.wait_parked(Duration::from_secs(10)),
+            "call never parked"
+        );
+        assert!(!worker.is_finished(), "parked call returned while held");
+        plan.release_io();
+        assert_eq!(worker.join().unwrap(), None, "no fault once released");
+        assert!(plan.events().is_empty());
     }
 }

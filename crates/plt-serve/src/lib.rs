@@ -23,10 +23,11 @@
 //!   shards a batch touches are re-mined before a fresh snapshot is
 //!   published (one pointer swap; cache cleared).
 //! * [`server`]/[`client`] — a TCP wire: length-prefixed JSON frames
-//!   ([`proto`]), N acceptor threads sharing one listener, a thread per
-//!   connection. `std::net` only; no async runtime. Connections carry
-//!   read/write deadlines, a max-frame bound, and a capacity cap; the
-//!   client retries idempotent requests with capped backoff.
+//!   ([`proto`]) served by the epoll `reactor` (Linux; other targets
+//!   build a blocking thread-per-connection fallback). `std::net` only;
+//!   no async runtime. Connections carry read/write deadlines, a
+//!   max-frame bound, and a capacity cap; the client retries idempotent
+//!   requests with capped backoff.
 //! * [`fault`] — seed-deterministic fault injection (torn/oversized
 //!   frames, short I/O, stalls, builder panics) threaded through all of
 //!   the above for reproducible chaos testing. A failed rebuild degrades
@@ -44,7 +45,7 @@
 //! let config = BuilderConfig { min_support: 2, ..BuilderConfig::default() };
 //! let (engine, builder) = bootstrap(&warmup, config).unwrap();
 //! let handle = serve("127.0.0.1:0", engine, Some(builder.queue()),
-//!                    ServerConfig { acceptors: 1, ..ServerConfig::default() }).unwrap();
+//!                    ServerConfig { reactors: 1, ..ServerConfig::default() }).unwrap();
 //!
 //! let mut client = Client::connect(handle.addr()).unwrap();
 //! assert_eq!(client.support(&[1, 2]).unwrap().support, 2);
@@ -68,15 +69,15 @@ pub mod reader_pool;
 pub mod server;
 pub mod snapshot;
 
-pub use builder::{bootstrap, BuilderConfig, BuilderHandle, IngestQueue, RebuildMode};
+pub use builder::{bootstrap, BuilderConfig, BuilderHandle, IngestQueue};
 pub use client::{Client, ClientConfig, ClientError, RetryPolicy, SupportReply};
 pub use decode::FrameDecoder;
 pub use engine::{Engine, ServingState};
 pub use fault::{FaultConfig, FaultEvent, FaultPlan, Site};
-pub use plt_approx::{SampledRebuild, SketchConfig};
+pub use plt_approx::SketchConfig;
 pub use proto::{negotiate_version, Request, MAX_PROTOCOL_VERSION};
 pub use reader_pool::{ReadGuard, ReaderCache, ReaderPool};
-pub use server::{serve, ServerConfig, ServerHandle, ServerModel};
+pub use server::{serve, ServerConfig, ServerHandle};
 pub use snapshot::{Recommendation, Snapshot, SupportAnswer, SupportSource};
 
 #[cfg(test)]

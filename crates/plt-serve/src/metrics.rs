@@ -143,24 +143,13 @@ pub struct Metrics {
     /// Cumulative dirty shards re-mined across all incremental rebuilds
     /// (divide by `rebuilds` for the mean dirty fraction).
     pub shards_remined: AtomicU64,
-    /// Rebuilds answered by the sampled (Toivonen) fast path without
-    /// falling back to an exact re-mine.
-    pub sampled_rebuilds: AtomicU64,
-    /// Sampling attempts across all sampled rebuilds (≥ 1 per rebuild).
-    pub sampled_attempts: AtomicU64,
-    /// Negative-border violations observed during sampled rebuilds
-    /// (each forces a retry or the exact fallback).
-    pub sampled_border_violations: AtomicU64,
-    /// Sampled rebuilds that exhausted their attempts and fell back to
-    /// the exact miner.
-    pub sampled_fallbacks: AtomicU64,
     /// Current shard count of the incremental pipeline (gauge).
     pub shard_count: AtomicU64,
     /// Durable-store gauges; all zero (and hidden from `STATS`) when the
     /// service runs without a data directory.
     pub storage: StorageMetrics,
     /// Reactor counters; all zero (and hidden from `STATS`) under the
-    /// thread-per-connection model.
+    /// non-Linux blocking fallback.
     pub reactor: ReactorMetrics,
     /// Query-language counters; all zero (and hidden from `STATS`) until
     /// the first `query` request.
@@ -263,9 +252,9 @@ impl QueryStats {
     }
 }
 
-/// Counters for the epoll reactor server model, following the
-/// [`StorageMetrics`] enabled-flag pattern: `enabled` flips to 1 when a
-/// reactor starts, so `stats` omits the block for the thread model.
+/// Counters for the epoll reactor, following the [`StorageMetrics`]
+/// enabled-flag pattern: `enabled` flips to 1 when a reactor starts, so
+/// `stats` omits the block under the non-Linux blocking fallback.
 /// Reactor threads accumulate locally and flush here in batches — these
 /// are cheap to read but a beat behind the poll loop.
 #[derive(Debug, Default)]
@@ -283,8 +272,8 @@ pub struct ReactorMetrics {
     pub active_connections: AtomicU64,
     /// Connections refused with a `shed` response (`shed.count`) —
     /// reactor budget or accept backlog full. Also counted into
-    /// [`Metrics::rejected_connections`] so both models share one
-    /// refusal counter.
+    /// [`Metrics::rejected_connections`], the refusal counter the
+    /// blocking fallback shares.
     pub shed_connections: AtomicU64,
     /// Poll-loop latency (one sample per `epoll_wait` round trip).
     pub poll: EndpointStats,
@@ -374,29 +363,6 @@ impl Metrics {
             .fetch_add(snapshot.as_micros() as u64, Ordering::Relaxed);
         self.rebuild_total_us
             .fetch_add(total.as_micros() as u64, Ordering::Relaxed);
-    }
-
-    /// Records the outcome of one sampled (Toivonen) rebuild.
-    pub fn record_sampled(&self, outcome: &plt_approx::SamplingOutcome) {
-        self.sampled_attempts
-            .fetch_add(outcome.attempts as u64, Ordering::Relaxed);
-        self.sampled_border_violations
-            .fetch_add(outcome.border_violations as u64, Ordering::Relaxed);
-        if outcome.fell_back {
-            self.sampled_fallbacks.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.sampled_rebuilds.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// `(sampled_rebuilds, attempts, border_violations, fallbacks)`.
-    pub fn sampled_report(&self) -> (u64, u64, u64, u64) {
-        (
-            self.sampled_rebuilds.load(Ordering::Relaxed),
-            self.sampled_attempts.load(Ordering::Relaxed),
-            self.sampled_border_violations.load(Ordering::Relaxed),
-            self.sampled_fallbacks.load(Ordering::Relaxed),
-        )
     }
 
     /// Records the dirty-shard work of one incremental rebuild.

@@ -1,9 +1,7 @@
-//! Epoll reactor server model: thousands of connections per core,
-//! `std`-only.
+//! Epoll reactor server: thousands of connections per core, `std`-only.
 //!
-//! The thread-per-connection model in [`server`](crate::server) burns a
-//! stack per peer; this module serves the same framed protocol from a
-//! fixed set of reactor threads. One blocking *dispatching acceptor*
+//! This is the only serving loop on Linux. It serves the framed protocol
+//! from a fixed set of reactor threads. One blocking *dispatching acceptor*
 //! accepts and hands sockets round-robin to per-reactor bounded queues
 //! (admission control happens right there — a peer past the connection
 //! budget or the accept backlog gets an explicit `shed` error frame, not
@@ -24,14 +22,13 @@
 //!
 //! Kernel access is direct `extern "C"` (`epoll_create1`/`epoll_ctl`/
 //! `epoll_wait`/`eventfd`), the same pattern plt-store uses for `mmap` —
-//! no `libc` crate. The module is Linux-only; on other platforms
-//! [`serve`](crate::server::serve) falls back to the thread model.
+//! no `libc` crate. The module is Linux-only; other targets build
+//! [`serve`](crate::server::serve)'s blocking fallback instead.
 //!
-//! Fault injection mirrors the blocking path: `short_io`/`stall` apply
-//! per nonblocking read/write at `ServerRead`/`ServerWrite`, and frame
-//! faults (torn/oversized) are applied when a response is encoded —
-//! after the injected bytes flush, the connection closes, exactly like
-//! the blocking writer erroring out.
+//! Fault injection: `short_io`/`stall` apply per nonblocking read/write
+//! at `ServerRead`/`ServerWrite`, and frame faults (torn/oversized) are
+//! applied when a response is encoded — after the injected bytes flush,
+//! the connection closes.
 
 use std::collections::VecDeque;
 use std::fs::File;
@@ -49,10 +46,11 @@ use crate::builder::IngestQueue;
 use crate::decode::{encode_frame, encode_frame_with, FrameDecoder};
 use crate::engine::Engine;
 use crate::fault::{IoFault, Site};
-use crate::json::Json;
-use crate::proto::{err_response, ok_response, render_response};
+use crate::proto::{err_response, render_response};
 use crate::reader_pool::ReaderCache;
-use crate::server::{dispatch_request, wake_acceptors, Dispatch, ServerConfig, ServerHandle};
+use crate::server::{
+    await_flush, dispatch_request, wake_acceptor, Dispatch, ServerConfig, ServerHandle,
+};
 use crate::snapshot::Snapshot;
 
 /// Raw kernel bindings, declared directly like `plt_store::mmap` does.
@@ -545,7 +543,7 @@ impl Reactor {
                 for w in self.all_wakers.iter() {
                     w.wake();
                 }
-                wake_acceptors(self.addr, usize::MAX);
+                wake_acceptor(self.addr);
                 self.conn(idx).close_after_flush = true;
                 self.queue_response(idx, &response);
             }
@@ -785,17 +783,7 @@ fn waiter_loop(
     waker: Arc<Waker>,
 ) {
     while let Ok(job) = jobs.recv() {
-        let response = match ingest.as_ref().and_then(|q| q.flush()) {
-            Some(generation) => render_response(
-                &ok_response(vec![
-                    ("accepted", Json::from(job.accepted)),
-                    ("generation", Json::from(generation)),
-                    ("stale", Json::Bool(engine.is_stale())),
-                ]),
-                job.version,
-            ),
-            None => render_response(&err_response("snapshot builder has exited"), job.version),
-        };
+        let response = await_flush(&engine, ingest.as_ref(), job.accepted, job.version);
         if done
             .send(FlushDone {
                 token: job.token,

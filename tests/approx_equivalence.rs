@@ -3,8 +3,9 @@
 //! error bound of the exact support, across a ≥128-case sweep mixing
 //! exhaustive sketches (small windows, bound 0) with genuinely sampled
 //! ones; the `EXACT` default must stay bit-identical to the oracle; and
-//! the Toivonen sampled-rebuild path must stay exact even when its
-//! negative-border verification trips and forces the fallback.
+//! Toivonen sampling (`plt-baselines`' `SamplingMiner`) must stay exact
+//! even when its negative-border verification trips and forces the
+//! fallback.
 //!
 //! The failure probability per sketch query is δ; the suites pin
 //! δ ≤ 1e-6 with fixed seeds, so the asserted outcomes are
@@ -13,7 +14,8 @@
 
 use std::collections::{BTreeSet, VecDeque};
 
-use plt::approx::{IndicatorSketch, SampledRebuild, SketchConfig};
+use plt::approx::{IndicatorSketch, SketchConfig};
+use plt::baselines::SamplingMiner;
 use plt::core::construct::{construct, ConstructOptions};
 use plt::core::miner::BruteForceMiner;
 use plt::core::{ConditionalMiner, Miner};
@@ -220,11 +222,17 @@ proptest! {
     }
 }
 
+/// A distinct sampling seed per round, so each round draws a fresh
+/// sample.
+fn resample(seed: u64, round: u64) -> u64 {
+    seed.wrapping_add(round.wrapping_mul(0x9e37_79b9))
+}
+
 /// Starving the sampler (tiny sample, no support slack, one attempt)
 /// trips the negative-border verification on real windows — and the
 /// mined result must be exact anyway, because a violation forces the
-/// exact fallback. This is the failure path the serving builder relies
-/// on for correctness.
+/// exact fallback. This path keeps sampling a latency gamble, never a
+/// correctness one.
 #[test]
 fn negative_border_violations_force_the_exact_fallback() {
     // Many itemsets sit near the threshold, so a 6% sample routinely
@@ -240,21 +248,20 @@ fn negative_border_violations_force_the_exact_fallback() {
     let min_support = 55;
     let expect = BruteForceMiner.mine(&window, min_support).sorted();
 
-    let sampler = SampledRebuild {
-        sample_fraction: 0.06,
-        support_slack: 0.0,
-        seed: 0x0b0b_b1e5,
-        max_attempts: 1,
-    };
     let mut violations = 0;
     let mut fallbacks = 0;
-    for generation in 0..40 {
-        let (result, outcome) = sampler.mine(&window, min_support, generation);
+    for round in 0..40u64 {
+        let sampler = SamplingMiner {
+            sample_fraction: 0.06,
+            support_slack: 0.0,
+            seed: resample(0x0b0b_b1e5, round),
+            max_attempts: 1,
+        };
+        let (result, outcome) = sampler.mine_with_outcome(&window, min_support);
         assert_eq!(
             result.sorted(),
             expect,
-            "generation {generation}: sampled rebuild must stay exact \
-             (outcome: {outcome:?})"
+            "round {round}: sampled re-mine must stay exact (outcome: {outcome:?})"
         );
         violations += outcome.border_violations;
         if outcome.fell_back {
@@ -269,9 +276,9 @@ fn negative_border_violations_force_the_exact_fallback() {
     assert!(fallbacks > 0, "violations must force the exact fallback");
 }
 
-/// The serving defaults keep the gamble cheap: with the default
-/// `SampledRebuild` the fast path usually wins, and its answers are
-/// still exact across generations.
+/// The defaults keep the gamble cheap: re-mining a window with the
+/// default `SamplingMiner` (a sampled rebuild) usually verifies its
+/// sample without the fallback, and its answers are exact every round.
 #[test]
 fn default_sampled_rebuild_is_exact_and_usually_avoids_fallback() {
     let window: Vec<Vec<u32>> = (0..600u32)
@@ -286,11 +293,14 @@ fn default_sampled_rebuild_is_exact_and_usually_avoids_fallback() {
         .collect();
     let min_support = 40;
     let expect = BruteForceMiner.mine(&window, min_support).sorted();
-    let sampler = SampledRebuild::default();
     let mut sampled_wins = 0;
-    for generation in 0..10 {
-        let (result, outcome) = sampler.mine(&window, min_support, generation);
-        assert_eq!(result.sorted(), expect, "generation {generation}");
+    for round in 0..10u64 {
+        let sampler = SamplingMiner {
+            seed: resample(SamplingMiner::default().seed, round),
+            ..SamplingMiner::default()
+        };
+        let (result, outcome) = sampler.mine_with_outcome(&window, min_support);
+        assert_eq!(result.sorted(), expect, "round {round}");
         if !outcome.fell_back {
             sampled_wins += 1;
         }

@@ -6,34 +6,13 @@
 use plt::core::miner::Miner;
 use plt::data::{BasketConfig, BasketGenerator};
 use plt::serve::{
-    bootstrap, serve, BuilderConfig, Client, ClientConfig, RebuildMode, Request, SampledRebuild,
-    ServerConfig, ServerModel, SketchConfig,
+    bootstrap, serve, BuilderConfig, Client, ClientConfig, Request, ServerConfig, SketchConfig,
 };
 use plt::ConditionalMiner;
 
-/// Both serving models where the platform has them; every test in this
-/// file runs against each — the thread model is the reactor's
-/// differential oracle.
-fn server_models() -> Vec<ServerModel> {
-    if cfg!(target_os = "linux") {
-        vec![ServerModel::Threads, ServerModel::Reactor]
-    } else {
-        vec![ServerModel::Threads]
-    }
-}
-
-/// Cross-product of serving models and response-envelope versions: the
-/// whole file runs once per cell, so a v1 client and a v2 client see
-/// identical answers from every model.
-fn cases() -> Vec<(ServerModel, u64)> {
-    let mut v = Vec::new();
-    for model in server_models() {
-        for version in [1u64, 2] {
-            v.push((model, version));
-        }
-    }
-    v
-}
+/// Response-envelope versions: every test in this file runs once per
+/// version, so a v1 client and a v2 client see identical answers.
+const VERSIONS: [u64; 2] = [1, 2];
 
 /// Connect a client speaking the requested envelope version (v2 clients
 /// negotiate via `hello` before the first request).
@@ -52,7 +31,6 @@ fn connect(addr: std::net::SocketAddr, version: u64) -> Client {
 fn start(
     warmup: &[Vec<u32>],
     min_support: u64,
-    model: ServerModel,
 ) -> (plt::serve::ServerHandle, plt::serve::BuilderHandle) {
     let config = BuilderConfig {
         window_capacity: warmup.len() * 4,
@@ -65,8 +43,6 @@ fn start(
         engine,
         Some(builder.queue()),
         ServerConfig {
-            server_model: model,
-            acceptors: 2,
             reactors: 2,
             ..ServerConfig::default()
         },
@@ -86,16 +62,16 @@ fn wire_answers_match_the_miner() {
     let truth = ConditionalMiner::default().mine(db.transactions(), min_support);
     assert!(!truth.is_empty(), "dataset must have frequent itemsets");
 
-    for (model, version) in cases() {
-        let (handle, builder) = start(db.transactions(), min_support, model);
+    for version in VERSIONS {
+        let (handle, builder) = start(db.transactions(), min_support);
         let mut client = connect(handle.addr(), version);
 
         // Every mined itemset's support is served exactly, from the index.
         for (itemset, support) in truth.iter() {
             let reply = client.support(itemset.items()).expect("support query");
-            assert_eq!(reply.support, support, "{model:?}: support({itemset})");
-            assert!(reply.frequent, "{model:?}: frequent({itemset})");
-            assert_eq!(reply.source, "index", "{model:?}: source({itemset})");
+            assert_eq!(reply.support, support, "v{version}: support({itemset})");
+            assert!(reply.frequent, "v{version}: frequent({itemset})");
+            assert_eq!(reply.source, "index", "v{version}: source({itemset})");
         }
 
         // Top-k agrees with the miner's ranking by support.
@@ -134,8 +110,8 @@ fn cache_hits_show_up_in_stats() {
         vec![2, 3],
         vec![1, 3],
     ];
-    for (model, version) in cases() {
-        let (handle, builder) = start(&warmup, 2, model);
+    for version in VERSIONS {
+        let (handle, builder) = start(&warmup, 2);
         let mut client = connect(handle.addr(), version);
 
         // Same query three times: one miss, then hits.
@@ -156,15 +132,15 @@ fn cache_hits_show_up_in_stats() {
             .get("cache_misses")
             .and_then(|v| v.as_u64())
             .unwrap();
-        assert_eq!(misses, 1, "{model:?}: first query misses");
-        assert_eq!(hits, 2, "{model:?}: repeats hit the cache");
+        assert_eq!(misses, 1, "v{version}: first query misses");
+        assert_eq!(hits, 2, "v{version}: repeats hit the cache");
         assert!(
             support.get("p50_us").and_then(|v| v.as_u64()).is_some(),
             "latency quantiles populated"
         );
 
-        // The reactor model reports its own gauges in `stats`.
-        if model == ServerModel::Reactor {
+        // The reactor (the Linux server) reports its own gauges in `stats`.
+        if cfg!(target_os = "linux") {
             let reactor = stats.get("reactor").expect("reactor stats block");
             assert!(
                 reactor.get("reactors").and_then(|v| v.as_u64()).unwrap() >= 1,
@@ -174,9 +150,9 @@ fn cache_hits_show_up_in_stats() {
                 reactor.get("accepted").and_then(|v| v.as_u64()).unwrap() >= 1,
                 "accepted connections counted"
             );
-            let pool = stats.get("reader_pool").expect("reader_pool stats");
-            assert!(pool.get("active_pins").and_then(|v| v.as_u64()).is_some());
         }
+        let pool = stats.get("reader_pool").expect("reader_pool stats");
+        assert!(pool.get("active_pins").and_then(|v| v.as_u64()).is_some());
 
         client.shutdown().expect("shutdown");
         handle.join();
@@ -187,8 +163,8 @@ fn cache_hits_show_up_in_stats() {
 #[test]
 fn ingest_republishes_and_answers_reflect_the_new_window() {
     let warmup = vec![vec![1, 2], vec![1, 2], vec![1, 3]];
-    for (model, version) in cases() {
-        let (handle, builder) = start(&warmup, 2, model);
+    for version in VERSIONS {
+        let (handle, builder) = start(&warmup, 2);
         let mut client = connect(handle.addr(), version);
 
         let g0 = client.ping().expect("ping");
@@ -204,10 +180,10 @@ fn ingest_republishes_and_answers_reflect_the_new_window() {
             .ingest(vec![vec![1, 3], vec![1, 3]], true)
             .expect("ingest")
             .expect("generation in wait mode");
-        assert!(g1 > g0, "{model:?}");
+        assert!(g1 > g0, "v{version}");
 
         // The served answers now reflect the grown window...
-        assert_eq!(client.support(&[1, 3]).unwrap().support, 3, "{model:?}");
+        assert_eq!(client.support(&[1, 3]).unwrap().support, 3, "v{version}");
         // ...and match an offline re-mine of the same transactions.
         let mut grown = warmup.clone();
         grown.push(vec![1, 3]);
@@ -215,7 +191,7 @@ fn ingest_republishes_and_answers_reflect_the_new_window() {
         let truth = ConditionalMiner::default().mine(&grown, 2);
         for (itemset, support) in truth.iter() {
             let reply = client.support(itemset.items()).expect("support");
-            assert_eq!(reply.support, support, "{model:?}: {itemset}");
+            assert_eq!(reply.support, support, "v{version}: {itemset}");
         }
 
         client.shutdown().expect("shutdown");
@@ -227,8 +203,8 @@ fn ingest_republishes_and_answers_reflect_the_new_window() {
 #[test]
 fn concurrent_clients_get_consistent_answers() {
     let warmup: Vec<Vec<u32>> = (0..50).map(|i| vec![1, 2, 3 + (i % 3) as u32]).collect();
-    for (model, version) in cases() {
-        let (handle, builder) = start(&warmup, 2, model);
+    for version in VERSIONS {
+        let (handle, builder) = start(&warmup, 2);
         let addr = handle.addr();
 
         let threads: Vec<_> = (0..4)
@@ -263,8 +239,8 @@ fn query_endpoint_answers_over_the_wire_with_provenance() {
     })
     .generate();
     let min_support = db.absolute_support(0.05);
-    for (model, version) in cases() {
-        let (handle, builder) = start(db.transactions(), min_support, model);
+    for version in VERSIONS {
+        let (handle, builder) = start(db.transactions(), min_support);
         let mut client = connect(handle.addr(), version);
         let top = client.top_k(1, 1).expect("top_k");
         let probe = top[0].0.clone();
@@ -283,7 +259,7 @@ fn query_endpoint_answers_over_the_wire_with_provenance() {
         assert_eq!(
             v.get("plan").and_then(|x| x.as_str()),
             Some("index_point"),
-            "{model:?}"
+            "v{version}"
         );
         assert_eq!(v.get("cache_hit").and_then(|x| x.as_bool()), Some(false));
         assert_eq!(v.get("generation").and_then(|x| x.as_u64()), Some(1));
@@ -299,7 +275,7 @@ fn query_endpoint_answers_over_the_wire_with_provenance() {
         assert_eq!(
             v.get("plan").and_then(|x| x.as_str()),
             Some("ext_traverse"),
-            "{model:?}"
+            "v{version}"
         );
         let rows = v.get("rows").and_then(|x| x.as_arr()).expect("rows");
         assert_eq!(rows.len(), 3);
@@ -329,8 +305,8 @@ fn query_endpoint_answers_over_the_wire_with_provenance() {
 #[test]
 fn query_plan_cache_hits_and_publish_invalidation_over_the_wire() {
     let warmup = vec![vec![1, 2], vec![1, 2], vec![1, 3], vec![2, 3]];
-    for (model, version) in cases() {
-        let (handle, builder) = start(&warmup, 2, model);
+    for version in VERSIONS {
+        let (handle, builder) = start(&warmup, 2);
         let mut client = connect(handle.addr(), version);
 
         // First spelling plans fresh; a *different* spelling with the
@@ -346,12 +322,12 @@ fn query_plan_cache_hits_and_publish_invalidation_over_the_wire() {
         assert_eq!(
             v2.get("cache_hit").and_then(|x| x.as_bool()),
             Some(true),
-            "{model:?}: normalized spellings share one plan"
+            "v{version}: normalized spellings share one plan"
         );
         assert_eq!(
             v1.get("rows").map(|r| r.to_string()),
             v2.get("rows").map(|r| r.to_string()),
-            "{model:?}: cached plan returns identical rows"
+            "v{version}: cached plan returns identical rows"
         );
 
         // Publishing a new generation invalidates the cached plan: the
@@ -367,7 +343,7 @@ fn query_plan_cache_hits_and_publish_invalidation_over_the_wire() {
         assert_eq!(
             v3.get("cache_hit").and_then(|x| x.as_bool()),
             Some(false),
-            "{model:?}: publish invalidates cached plans"
+            "v{version}: publish invalidates cached plans"
         );
 
         client.shutdown().expect("shutdown");
@@ -378,8 +354,8 @@ fn query_plan_cache_hits_and_publish_invalidation_over_the_wire() {
 
 #[test]
 fn malformed_queries_are_typed_errors_and_leave_the_connection_usable() {
-    for (model, version) in cases() {
-        let (handle, builder) = start(&[vec![1, 2], vec![1, 2], vec![2, 3]], 2, model);
+    for version in VERSIONS {
+        let (handle, builder) = start(&[vec![1, 2], vec![1, 2], vec![2, 3]], 2);
         let mut client = connect(handle.addr(), version);
 
         for bad in [
@@ -392,7 +368,7 @@ fn malformed_queries_are_typed_errors_and_leave_the_connection_usable() {
             let err = client.query(bad).unwrap_err();
             assert!(
                 err.to_string().contains("query:"),
-                "{model:?}: `{bad}` should be a typed query error, got {err}"
+                "v{version}: `{bad}` should be a typed query error, got {err}"
             );
         }
         // The connection survives every rejected expression.
@@ -407,18 +383,17 @@ fn malformed_queries_are_typed_errors_and_leave_the_connection_usable() {
 }
 
 #[test]
-fn approx_tier_serves_bounded_answers_and_sampled_rebuilds_stay_exact() {
+fn approx_tier_serves_bounded_answers_and_rebuilds_stay_exact() {
     let db = BasketGenerator::new(BasketConfig {
         num_baskets: 400,
         ..Default::default()
     })
     .generate();
     let min_support = db.absolute_support(0.05);
-    for (model, version) in cases() {
+    for version in VERSIONS {
         let config = BuilderConfig {
             window_capacity: db.transactions().len() * 4,
             min_support,
-            rebuild_mode: RebuildMode::Sampled(SampledRebuild::default()),
             sketch: Some(SketchConfig {
                 epsilon: 0.05,
                 delta: 0.01,
@@ -432,8 +407,6 @@ fn approx_tier_serves_bounded_answers_and_sampled_rebuilds_stay_exact() {
             engine,
             Some(builder.queue()),
             ServerConfig {
-                server_model: model,
-                acceptors: 2,
                 reactors: 2,
                 ..ServerConfig::default()
             },
@@ -468,10 +441,10 @@ fn approx_tier_serves_bounded_answers_and_sampled_rebuilds_stay_exact() {
                     .expect("approx answers state their bound");
                 assert!(
                     est.abs_diff(*exact) <= bound,
-                    "{model:?} v{version}: |{est} - {exact}| > {bound} for {items:?}"
+                    "v{version}: |{est} - {exact}| > {bound} for {items:?}"
                 );
             } else {
-                assert_eq!(est, *exact, "{model:?} v{version}: exact fallback");
+                assert_eq!(est, *exact, "v{version}: exact fallback");
             }
         }
 
@@ -493,8 +466,9 @@ fn approx_tier_serves_bounded_answers_and_sampled_rebuilds_stay_exact() {
             Some(top[0].1)
         );
 
-        // An ingest triggers a sampled (Toivonen) rebuild; the published
-        // answers still match an offline exact re-mine of the window.
+        // An ingest triggers an incremental rebuild (the sketch sees the
+        // batch first); the published answers match an offline exact
+        // re-mine of the window.
         let extra = vec![db.transactions()[0].clone(), db.transactions()[1].clone()];
         client
             .ingest(extra.clone(), true)
@@ -507,12 +481,12 @@ fn approx_tier_serves_bounded_answers_and_sampled_rebuilds_stay_exact() {
             let reply = client.support(itemset.items()).expect("support");
             assert_eq!(
                 reply.support, support,
-                "{model:?} v{version}: sampled rebuild must stay exact for {itemset}"
+                "v{version}: rebuild must stay exact for {itemset}"
             );
         }
 
-        // Stats surface the approximate tier: sketch gauges, approx
-        // counters, and the sampled-rebuild block.
+        // Stats surface the approximate tier: sketch gauges and approx
+        // counters.
         let stats = client.stats().expect("stats");
         let sketch = stats.get("sketch").expect("sketch stats block");
         assert!(sketch.get("epsilon").and_then(|x| x.as_f64()).unwrap() > 0.0);
@@ -527,16 +501,14 @@ fn approx_tier_serves_bounded_answers_and_sampled_rebuilds_stay_exact() {
                 .and_then(|x| x.as_u64())
                 .unwrap()
                 >= top.len() as u64,
-            "{model:?} v{version}: APPROX requests counted"
+            "v{version}: APPROX requests counted"
         );
-        let sampled = stats
-            .get("rebuild")
-            .and_then(|r| r.get("sampled"))
-            .expect("sampled rebuild stats");
+        let rebuild = stats.get("rebuild").expect("rebuild stats");
         assert!(
-            sampled.get("attempts").and_then(|x| x.as_u64()).unwrap() >= 1,
-            "{model:?} v{version}: ingest drove a sampled rebuild"
+            rebuild.get("rebuilds").and_then(|x| x.as_u64()).unwrap() >= 1,
+            "v{version}: ingest drove a rebuild"
         );
+        assert!(rebuild.get("sampled").is_none(), "v{version}: {rebuild}");
 
         client.shutdown().expect("shutdown");
         handle.join();
@@ -546,8 +518,8 @@ fn approx_tier_serves_bounded_answers_and_sampled_rebuilds_stay_exact() {
 
 #[test]
 fn malformed_requests_get_protocol_errors() {
-    for (model, version) in cases() {
-        let (handle, builder) = start(&[vec![1, 2], vec![1, 2]], 2, model);
+    for version in VERSIONS {
+        let (handle, builder) = start(&[vec![1, 2], vec![1, 2]], 2);
         let mut client = connect(handle.addr(), version);
 
         // Unknown op is a server-reported error, not a dropped connection;
@@ -563,6 +535,155 @@ fn malformed_requests_get_protocol_errors() {
         assert_eq!(v.get("support").and_then(|s| s.as_u64()), Some(2));
 
         client.shutdown().expect("shutdown");
+        handle.join();
+        builder.stop();
+    }
+}
+
+/// Writes one request frame to a raw socket and reads the reply frame.
+fn exchange(
+    stream: &mut std::net::TcpStream,
+    reader: &mut impl std::io::BufRead,
+    payload: &str,
+) -> String {
+    use std::io::Write;
+    write!(stream, "{}\n{}\n", payload.len(), payload).expect("write frame");
+    let mut header = String::new();
+    reader.read_line(&mut header).expect("reply header");
+    let len: usize = header.trim().parse().expect("numeric reply header");
+    let mut body = vec![0u8; len + 1];
+    std::io::Read::read_exact(reader, &mut body).expect("reply payload");
+    body.pop();
+    String::from_utf8(body).expect("utf-8 reply")
+}
+
+/// The reactor's differential oracle: a twin engine bootstrapped on the
+/// same warmup and fed the same request sequence in process. Every wire
+/// frame must equal the twin's reply rendered through the same envelope,
+/// byte for byte — for every engine-answered op, under both envelope
+/// versions, on a response-cache miss and then a hit (one fresh server
+/// and twin per version, so each version sees both). `stats` carries
+/// live timings and the reactor block, and `ingest` is answered by the
+/// server with a timing-dependent generation, so neither is compared.
+#[test]
+fn wire_replies_equal_the_in_process_twin_byte_for_byte() {
+    use plt::serve::negotiate_version;
+    use plt::serve::proto::render_payload;
+
+    let db = BasketGenerator::new(BasketConfig {
+        num_baskets: 400,
+        ..Default::default()
+    })
+    .generate();
+    let min_support = db.absolute_support(0.05);
+    let config = || BuilderConfig {
+        window_capacity: db.transactions().len() * 4,
+        min_support,
+        sketch: Some(SketchConfig::default()),
+        ..BuilderConfig::default()
+    };
+
+    for version in VERSIONS {
+        let (engine, builder) = bootstrap(db.transactions(), config()).expect("bootstrap");
+        let (twin, twin_builder) = bootstrap(db.transactions(), config()).expect("twin");
+        twin_builder.stop();
+        let handle = serve(
+            "127.0.0.1:0",
+            engine,
+            Some(builder.queue()),
+            ServerConfig {
+                reactors: 2,
+                ..ServerConfig::default()
+            },
+        )
+        .expect("bind ephemeral port");
+
+        let top = twin.current().top_k(2, 2);
+        let pair = top[0].0.items().to_vec();
+        let single = vec![pair[0]];
+        let set = |items: &[u32]| {
+            items
+                .iter()
+                .map(u32::to_string)
+                .collect::<Vec<_>>()
+                .join(", ")
+        };
+        let requests = vec![
+            Request::Support {
+                items: pair.clone(),
+            },
+            Request::Support {
+                items: vec![pair[0], 999_999],
+            },
+            Request::TopK { k: 5, min_size: 1 },
+            Request::Extensions {
+                items: single.clone(),
+                k: 5,
+            },
+            Request::Recommend {
+                items: single.clone(),
+                k: 3,
+            },
+            Request::Query {
+                expr: format!("SUPPORT OF {{{}}}", set(&pair)),
+            },
+            Request::Query {
+                expr: format!("SUPPORT OF {{{}}} APPROX", set(&pair)),
+            },
+            Request::Query {
+                expr: "TOP 3 WHERE support >= 2 AND size >= 1".into(),
+            },
+            // Same normal form, different spelling: a plan-cache hit on
+            // a response-cache miss.
+            Request::Query {
+                expr: "top 3 WHERE size >= 1 and SUPPORT >= 2".into(),
+            },
+            Request::Query {
+                expr: "RULES WHERE confidence >= 0.5 TOP 4".into(),
+            },
+            Request::Query {
+                expr: format!("MINE COND {{{}}} TOP 2", single[0]),
+            },
+            Request::Query { expr: "TOP".into() },
+            Request::Ping,
+        ];
+
+        let mut stream = std::net::TcpStream::connect(handle.addr()).expect("connect");
+        stream
+            .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+            .unwrap();
+        let mut reader = std::io::BufReader::new(stream.try_clone().unwrap());
+        let mut envelope = 1;
+        let mut check = |request: &Request, envelope: u64, label: &str| {
+            let wire = exchange(&mut stream, &mut reader, &request.to_json().to_string());
+            let twin_reply = render_payload(&twin.handle(request), envelope);
+            assert_eq!(wire, twin_reply, "v{version} {label}: {request:?}");
+            wire
+        };
+        if version >= 2 {
+            let hello = Request::Hello { version };
+            envelope = negotiate_version(version);
+            check(&hello, envelope, "hello");
+        }
+        let mut flips = Vec::new();
+        for pass in ["miss", "hit"] {
+            for request in &requests {
+                let wire = check(request, envelope, pass);
+                if matches!(request, Request::Query { .. }) {
+                    flips.push(wire.contains("\"cache_hit\":true"));
+                }
+            }
+        }
+        // The sequence really exercised both sides of each cache: fresh
+        // plans, a plan-cache hit, and response-cache hits.
+        let queries = flips.len() / 2;
+        assert!(!flips[0], "v{version}: first query plans fresh");
+        assert!(flips[3], "v{version}: respelled query hits the plan cache");
+        assert!(
+            flips[queries..queries + 6].iter().all(|&hit| hit),
+            "v{version}: repeats hit the response cache: {flips:?}"
+        );
+        check(&Request::Shutdown, envelope, "shutdown");
         handle.join();
         builder.stop();
     }

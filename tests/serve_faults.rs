@@ -13,18 +13,30 @@ use std::time::Duration;
 use plt::core::miner::Miner;
 use plt::serve::{
     bootstrap, serve, BuilderConfig, Client, ClientConfig, FaultConfig, FaultPlan, RetryPolicy,
-    ServerConfig, ServerHandle, ServerModel,
+    ServerConfig, ServerHandle,
 };
 use plt::ConditionalMiner;
 
-/// Both serving models where the platform has them; the chaos and
-/// malformed-input suites must hold for each.
-fn server_models() -> Vec<ServerModel> {
-    if cfg!(target_os = "linux") {
-        vec![ServerModel::Threads, ServerModel::Reactor]
-    } else {
-        vec![ServerModel::Threads]
+/// Response-envelope versions: tests that talk through a [`Client`]
+/// run once per version; raw-socket tests speak the default v1.
+const VERSIONS: [u64; 2] = [1, 2];
+
+/// Dials a client speaking envelope `version`, retrying the dial itself:
+/// a v2 client's `hello` crosses the (possibly faulty) transport like
+/// any request.
+fn dial(addr: std::net::SocketAddr, version: u64, config: ClientConfig) -> Client {
+    let config = ClientConfig {
+        protocol_version: version,
+        ..config
+    };
+    let mut last = None;
+    for _ in 0..8 {
+        match Client::with_config(addr, config.clone()) {
+            Ok(client) => return client,
+            Err(e) => last = Some(e),
+        }
     }
+    panic!("v{version}: no connection after 8 dials: {last:?}")
 }
 
 /// Seeds every chaos test runs under — distinct, fixed, and echoed in
@@ -49,7 +61,6 @@ fn start(
     min_support: u64,
     server_fault: Option<Arc<FaultPlan>>,
     builder_fault: Option<Arc<FaultPlan>>,
-    model: ServerModel,
 ) -> (
     ServerHandle,
     plt::serve::BuilderHandle,
@@ -67,8 +78,6 @@ fn start(
         engine.clone(),
         Some(builder.queue()),
         ServerConfig {
-            server_model: model,
-            acceptors: 2,
             reactors: 2,
             fault: server_fault,
             ..ServerConfig::default()
@@ -122,17 +131,17 @@ fn chaos_runs_never_return_a_wrong_answer() {
     let truth = ConditionalMiner::default().mine(&db, min_support);
     assert!(truth.len() >= 10, "fixture must have a real family");
 
-    for (seed, model) in CHAOS_SEEDS
+    for (seed, version) in CHAOS_SEEDS
         .iter()
-        .flat_map(|&s| server_models().into_iter().map(move |m| (s, m)))
+        .flat_map(|&s| VERSIONS.into_iter().map(move |v| (s, v)))
     {
         let server_plan = FaultPlan::shared(FaultConfig::chaos(seed));
         let client_plan = FaultPlan::shared(FaultConfig::chaos(seed.wrapping_add(1)));
-        let (handle, builder, _engine) =
-            start(&db, min_support, Some(server_plan.clone()), None, model);
+        let (handle, builder, _engine) = start(&db, min_support, Some(server_plan.clone()), None);
 
-        let mut client = Client::with_config(
+        let mut client = dial(
             handle.addr(),
+            version,
             ClientConfig {
                 retry: RetryPolicy {
                     max_retries: 8,
@@ -143,8 +152,7 @@ fn chaos_runs_never_return_a_wrong_answer() {
                 fault: Some(client_plan.clone()),
                 ..ClientConfig::default()
             },
-        )
-        .expect("connect");
+        );
 
         let mut answered = 0usize;
         for (itemset, support) in truth.iter() {
@@ -174,8 +182,9 @@ fn chaos_runs_never_return_a_wrong_answer() {
         // The server survived the whole run: a fresh client (high retry
         // budget — the server's fault plan also applies to it) still
         // gets exact answers.
-        let mut probe = Client::with_config(
+        let mut probe = dial(
             handle.addr(),
+            version,
             ClientConfig {
                 retry: RetryPolicy {
                     max_retries: 8,
@@ -185,8 +194,7 @@ fn chaos_runs_never_return_a_wrong_answer() {
                 },
                 ..ClientConfig::default()
             },
-        )
-        .expect("clean connect");
+        );
         assert_eq!(probe.ping().expect("ping after chaos"), 1);
         let (some_itemset, some_support) = truth.iter().next().unwrap();
         assert_eq!(
@@ -213,15 +221,14 @@ fn builder_panics_degrade_to_the_last_good_snapshot() {
     let db = warmup_db();
     let min_support = 6;
     let truth = ConditionalMiner::default().mine(&db, min_support);
-    for model in server_models() {
+    for version in VERSIONS {
         let builder_plan = FaultPlan::shared(FaultConfig {
             builder_panic: 1.0,
             ..FaultConfig::disabled(0xDEAD)
         });
         // The warmup build is never faulted; every later rebuild panics.
-        let (handle, builder, _engine) =
-            start(&db, min_support, None, Some(builder_plan.clone()), model);
-        let mut client = Client::connect(handle.addr()).expect("connect");
+        let (handle, builder, _engine) = start(&db, min_support, None, Some(builder_plan.clone()));
+        let mut client = dial(handle.addr(), version, ClientConfig::default());
 
         assert_eq!(client.ping().expect("ping"), 1);
         assert!(!client.support(&[1, 2]).expect("fresh support").stale);
@@ -307,75 +314,70 @@ fn assert_error_frame(frame: Option<String>, needle: &str, label: &str) {
 
 #[test]
 fn malformed_wire_input_yields_typed_error_frames() {
-    for model in server_models() {
-        let (handle, builder, engine) = start(&warmup_db(), 6, None, None, model);
-        let addr = handle.addr();
+    let (handle, builder, engine) = start(&warmup_db(), 6, None, None);
+    let addr = handle.addr();
 
-        // Non-numeric length prefix: error frame, then the connection closes.
-        assert_error_frame(
-            raw_exchange(addr, b"notanumber\n{}\n"),
-            "invalid frame header",
-            "non-numeric length",
-        );
+    // Non-numeric length prefix: error frame, then the connection closes.
+    assert_error_frame(
+        raw_exchange(addr, b"notanumber\n{}\n"),
+        "invalid frame header",
+        "non-numeric length",
+    );
 
-        // Length past the frame limit: rejected before allocation.
-        let huge = format!("{}\n", 16 * 1024 * 1024 + 1);
-        assert_error_frame(
-            raw_exchange(addr, huge.as_bytes()),
-            "exceeds limit",
-            "oversized length",
-        );
+    // Length past the frame limit: rejected before allocation.
+    let huge = format!("{}\n", 16 * 1024 * 1024 + 1);
+    assert_error_frame(
+        raw_exchange(addr, huge.as_bytes()),
+        "exceeds limit",
+        "oversized length",
+    );
 
-        // Missing trailing newline after the payload.
-        assert_error_frame(
-            raw_exchange(addr, b"2\n{}X"),
-            "trailing newline",
-            "missing frame terminator",
-        );
+    // Missing trailing newline after the payload.
+    assert_error_frame(
+        raw_exchange(addr, b"2\n{}X"),
+        "trailing newline",
+        "missing frame terminator",
+    );
 
-        // Truncated JSON in a well-formed frame: error frame, and the
-        // connection *stays usable* — JSON-level errors are recoverable.
-        let mut stream = TcpStream::connect(addr).expect("connect");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(5)))
-            .unwrap();
-        let bad = r#"{"op":"sup"#;
-        write!(stream, "{}\n{}\n", bad.len(), bad).unwrap();
-        let read_stream = stream.try_clone().unwrap();
-        let mut reader = BufReader::new(read_stream);
-        let frame = read_raw_frame(&mut reader).expect("error frame for truncated JSON");
-        assert!(frame.contains("\"ok\":false"), "{frame}");
-        // Same connection, now a valid request:
-        let ping = r#"{"op":"ping"}"#;
-        write!(stream, "{}\n{}\n", ping.len(), ping).unwrap();
-        let frame = read_raw_frame(&mut reader).expect("ping after recoverable error");
-        assert!(frame.contains("\"ok\":true"), "{frame}");
+    // Truncated JSON in a well-formed frame: error frame, and the
+    // connection *stays usable* — JSON-level errors are recoverable.
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let bad = r#"{"op":"sup"#;
+    write!(stream, "{}\n{}\n", bad.len(), bad).unwrap();
+    let read_stream = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(read_stream);
+    let frame = read_raw_frame(&mut reader).expect("error frame for truncated JSON");
+    assert!(frame.contains("\"ok\":false"), "{frame}");
+    // Same connection, now a valid request:
+    let ping = r#"{"op":"ping"}"#;
+    write!(stream, "{}\n{}\n", ping.len(), ping).unwrap();
+    let frame = read_raw_frame(&mut reader).expect("ping after recoverable error");
+    assert!(frame.contains("\"ok\":true"), "{frame}");
 
-        // Trailing garbage after a complete JSON value.
-        let garbage = r#"{"op":"ping"} extra"#;
-        let framed = format!("{}\n{}\n", garbage.len(), garbage);
-        assert_error_frame(
-            raw_exchange(addr, framed.as_bytes()),
-            "trailing characters",
-            "trailing garbage",
-        );
+    // Trailing garbage after a complete JSON value.
+    let garbage = r#"{"op":"ping"} extra"#;
+    let framed = format!("{}\n{}\n", garbage.len(), garbage);
+    assert_error_frame(
+        raw_exchange(addr, framed.as_bytes()),
+        "trailing characters",
+        "trailing garbage",
+    );
 
-        // Every case above was counted, and none of them took the server
-        // down.
-        let errors = engine
-            .metrics()
-            .protocol_errors
-            .load(std::sync::atomic::Ordering::Relaxed);
-        assert!(
-            errors >= 5,
-            "{model:?}: expected >=5 protocol errors, saw {errors}"
-        );
-        let mut client = Client::connect(addr).expect("server still up");
-        assert_eq!(client.ping().expect("ping"), 1);
-        client.shutdown().expect("shutdown");
-        handle.join();
-        builder.stop();
-    }
+    // Every case above was counted, and none of them took the server
+    // down.
+    let errors = engine
+        .metrics()
+        .protocol_errors
+        .load(std::sync::atomic::Ordering::Relaxed);
+    assert!(errors >= 5, "expected >=5 protocol errors, saw {errors}");
+    let mut client = Client::connect(addr).expect("server still up");
+    assert_eq!(client.ping().expect("ping"), 1);
+    client.shutdown().expect("shutdown");
+    handle.join();
+    builder.stop();
 }
 
 // ---------------------------------------------------------------------------
@@ -385,7 +387,7 @@ fn malformed_wire_input_yields_typed_error_frames() {
 #[test]
 fn connections_past_the_cap_are_refused_with_an_error_frame() {
     let db = warmup_db();
-    for model in server_models() {
+    for version in VERSIONS {
         let config = BuilderConfig {
             window_capacity: db.len() * 2,
             min_support: 6,
@@ -397,8 +399,6 @@ fn connections_past_the_cap_are_refused_with_an_error_frame() {
             engine.clone(),
             Some(builder.queue()),
             ServerConfig {
-                server_model: model,
-                acceptors: 1,
                 reactors: 1,
                 max_connections: 1,
                 ..ServerConfig::default()
@@ -407,7 +407,7 @@ fn connections_past_the_cap_are_refused_with_an_error_frame() {
         .expect("bind");
 
         // First connection holds the only permit.
-        let mut first = Client::connect(handle.addr()).expect("first connection");
+        let mut first = dial(handle.addr(), version, ClientConfig::default());
         assert_eq!(first.ping().expect("ping"), 1);
 
         // Second is refused with a typed error frame.
@@ -432,6 +432,7 @@ fn connections_past_the_cap_are_refused_with_an_error_frame() {
             if let Ok(mut c) = Client::with_config(
                 handle.addr(),
                 ClientConfig {
+                    protocol_version: version,
                     retry: RetryPolicy::none(),
                     ..ClientConfig::default()
                 },
@@ -453,53 +454,49 @@ fn connections_past_the_cap_are_refused_with_an_error_frame() {
 #[test]
 fn a_silent_peer_is_dropped_at_the_read_deadline() {
     let db = warmup_db();
-    for model in server_models() {
-        let config = BuilderConfig {
-            window_capacity: db.len() * 2,
-            min_support: 6,
-            ..BuilderConfig::default()
-        };
-        let (engine, builder) = bootstrap(&db, config).expect("bootstrap");
-        let handle = serve(
-            "127.0.0.1:0",
-            engine.clone(),
-            None,
-            ServerConfig {
-                server_model: model,
-                acceptors: 1,
-                reactors: 1,
-                read_deadline: Some(Duration::from_millis(100)),
-                ..ServerConfig::default()
-            },
-        )
-        .expect("bind");
+    let config = BuilderConfig {
+        window_capacity: db.len() * 2,
+        min_support: 6,
+        ..BuilderConfig::default()
+    };
+    let (engine, builder) = bootstrap(&db, config).expect("bootstrap");
+    let handle = serve(
+        "127.0.0.1:0",
+        engine.clone(),
+        None,
+        ServerConfig {
+            reactors: 1,
+            read_deadline: Some(Duration::from_millis(100)),
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind");
 
-        // Connect and send nothing: the server must hang up, not park a
-        // handler thread forever.
-        let stream = TcpStream::connect(handle.addr()).expect("connect");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
-        let mut buf = [0u8; 64];
-        let n = (&stream).read(&mut buf).expect("read until server close");
-        assert_eq!(n, 0, "{model:?}: server should close a silent connection");
-        assert!(
-            engine
-                .metrics()
-                .timeouts
-                .load(std::sync::atomic::Ordering::Relaxed)
-                >= 1,
-            "{model:?}: deadline expiry must be counted"
-        );
+    // Connect and send nothing: the server must hang up, not park a
+    // handler thread forever.
+    let stream = TcpStream::connect(handle.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut buf = [0u8; 64];
+    let n = (&stream).read(&mut buf).expect("read until server close");
+    assert_eq!(n, 0, "server should close a silent connection");
+    assert!(
+        engine
+            .metrics()
+            .timeouts
+            .load(std::sync::atomic::Ordering::Relaxed)
+            >= 1,
+        "deadline expiry must be counted"
+    );
 
-        handle.shutdown();
-        builder.stop();
-    }
+    handle.shutdown();
+    builder.stop();
 }
 
 // ---------------------------------------------------------------------------
 // Adversarial clients: slowloris, one-byte writes, mid-frame disconnects.
-// Both server models must shrug all of them off.
+// The server must shrug all of them off.
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -515,39 +512,37 @@ fn slowloris_one_byte_writes_still_get_exact_answers() {
     .to_string();
     let framed = format!("{}\n{}\n", request.len(), request);
 
-    for model in server_models() {
-        let (handle, builder, _engine) = start(&db, min_support, None, None, model);
+    let (handle, builder, _engine) = start(&db, min_support, None, None);
 
-        // Dribble the frame one byte at a time with small pauses — slow,
-        // but inside the read deadline. The server must buffer partial
-        // frames and answer exactly.
-        let mut stream = TcpStream::connect(handle.addr()).expect("connect");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
-        for &b in framed.as_bytes() {
-            stream.write_all(&[b]).expect("one-byte write");
-            stream.flush().unwrap();
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let frame = read_raw_frame(&mut reader).expect("response to slowloris frame");
-        assert!(
-            frame.contains(&format!("\"support\":{some_support}")),
-            "{model:?}: slowloris answer wrong: {frame}"
-        );
-
-        // A second dribbled request on the same connection also works —
-        // decoder state is per-connection, not per-read.
-        for &b in framed.as_bytes() {
-            stream.write_all(&[b]).expect("one-byte write");
-        }
-        let frame = read_raw_frame(&mut reader).expect("second slowloris response");
-        assert!(frame.contains("\"ok\":true"), "{model:?}: {frame}");
-
-        handle.shutdown();
-        builder.stop();
+    // Dribble the frame one byte at a time with small pauses — slow,
+    // but inside the read deadline. The server must buffer partial
+    // frames and answer exactly.
+    let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    for &b in framed.as_bytes() {
+        stream.write_all(&[b]).expect("one-byte write");
+        stream.flush().unwrap();
+        std::thread::sleep(Duration::from_millis(1));
     }
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let frame = read_raw_frame(&mut reader).expect("response to slowloris frame");
+    assert!(
+        frame.contains(&format!("\"support\":{some_support}")),
+        "slowloris answer wrong: {frame}"
+    );
+
+    // A second dribbled request on the same connection also works —
+    // decoder state is per-connection, not per-read.
+    for &b in framed.as_bytes() {
+        stream.write_all(&[b]).expect("one-byte write");
+    }
+    let frame = read_raw_frame(&mut reader).expect("second slowloris response");
+    assert!(frame.contains("\"ok\":true"), "{frame}");
+
+    handle.shutdown();
+    builder.stop();
 }
 
 // ---------------------------------------------------------------------------
@@ -600,14 +595,13 @@ fn fault_injected_queries_disconnect_cleanly_never_wrongly() {
         .collect();
     assert!(expected.iter().any(|rows| !rows.is_empty()));
 
-    for (seed, model) in CHAOS_SEEDS
+    for (seed, version) in CHAOS_SEEDS
         .iter()
-        .flat_map(|&s| server_models().into_iter().map(move |m| (s, m)))
+        .flat_map(|&s| VERSIONS.into_iter().map(move |v| (s, v)))
     {
         let server_plan = FaultPlan::shared(FaultConfig::chaos(seed));
         let client_plan = FaultPlan::shared(FaultConfig::chaos(seed.wrapping_add(1)));
-        let (handle, builder, _engine) =
-            start(&db, min_support, Some(server_plan.clone()), None, model);
+        let (handle, builder, _engine) = start(&db, min_support, Some(server_plan.clone()), None);
         let addr = handle.addr();
 
         // A burst of peers that send a complete query frame and hang up
@@ -631,8 +625,9 @@ fn fault_injected_queries_disconnect_cleanly_never_wrongly() {
 
         // A chaos-faulted client hammers the query endpoint: exhausted
         // retries are visible errors, but every Ok answer is exact.
-        let mut client = Client::with_config(
+        let mut client = dial(
             addr,
+            version,
             ClientConfig {
                 retry: RetryPolicy {
                     max_retries: 8,
@@ -643,8 +638,7 @@ fn fault_injected_queries_disconnect_cleanly_never_wrongly() {
                 fault: Some(client_plan),
                 ..ClientConfig::default()
             },
-        )
-        .expect("connect");
+        );
         let mut answered = 0usize;
         for round in 0..12 {
             let i = round % exprs.len();
@@ -652,7 +646,7 @@ fn fault_injected_queries_disconnect_cleanly_never_wrongly() {
                 assert_eq!(
                     wire_itemset_rows(&v),
                     expected[i],
-                    "seed {seed:#x} {model:?}: wrong answer for `{}`",
+                    "seed {seed:#x} v{version}: wrong answer for `{}`",
                     exprs[i]
                 );
                 answered += 1;
@@ -660,12 +654,13 @@ fn fault_injected_queries_disconnect_cleanly_never_wrongly() {
         }
         assert!(
             answered >= 4,
-            "seed {seed:#x} {model:?}: chaos starved the query client ({answered}/12)"
+            "seed {seed:#x} v{version}: chaos starved the query client ({answered}/12)"
         );
 
         // The server survived every disconnect and fault.
-        let mut probe = Client::with_config(
+        let mut probe = dial(
             addr,
+            version,
             ClientConfig {
                 retry: RetryPolicy {
                     max_retries: 8,
@@ -675,8 +670,7 @@ fn fault_injected_queries_disconnect_cleanly_never_wrongly() {
                 },
                 ..ClientConfig::default()
             },
-        )
-        .expect("clean connect");
+        );
         assert_eq!(probe.ping().expect("ping after chaos"), 1);
         handle.shutdown();
         builder.stop();
@@ -688,7 +682,7 @@ fn deadline_expiry_during_mine_cond_drops_the_peer_not_the_server() {
     let db = warmup_db();
     let min_support = 6;
     let expected = offline_itemset_rows(&db, min_support, "MINE COND {1} TOP 5");
-    for model in server_models() {
+    for version in VERSIONS {
         let config = BuilderConfig {
             window_capacity: db.len() * 2,
             min_support,
@@ -700,8 +694,6 @@ fn deadline_expiry_during_mine_cond_drops_the_peer_not_the_server() {
             engine.clone(),
             None,
             ServerConfig {
-                server_model: model,
-                acceptors: 1,
                 reactors: 1,
                 read_deadline: Some(Duration::from_millis(100)),
                 ..ServerConfig::default()
@@ -728,21 +720,21 @@ fn deadline_expiry_during_mine_cond_drops_the_peer_not_the_server() {
         let n = (&stream)
             .read(&mut buf)
             .expect("read until server closes the stalled query");
-        assert_eq!(n, 0, "{model:?}: stalled MINE COND must be dropped");
+        assert_eq!(n, 0, "v{version}: stalled MINE COND must be dropped");
         assert!(
             engine
                 .metrics()
                 .timeouts
                 .load(std::sync::atomic::Ordering::Relaxed)
                 >= 1,
-            "{model:?}: deadline expiry must be counted"
+            "v{version}: deadline expiry must be counted"
         );
 
         // Degraded for that peer only: a fresh client gets the exact
         // mined answer immediately.
-        let mut client = Client::connect(handle.addr()).expect("server still up");
+        let mut client = dial(handle.addr(), version, ClientConfig::default());
         let v = client.query("MINE COND {1} TOP 5").expect("query");
-        assert_eq!(wire_itemset_rows(&v), expected, "{model:?}");
+        assert_eq!(wire_itemset_rows(&v), expected, "v{version}");
 
         handle.shutdown();
         builder.stop();
@@ -752,8 +744,8 @@ fn deadline_expiry_during_mine_cond_drops_the_peer_not_the_server() {
 #[test]
 fn mid_frame_disconnects_leave_the_server_healthy() {
     let db = warmup_db();
-    for model in server_models() {
-        let (handle, builder, engine) = start(&db, 6, None, None, model);
+    for version in VERSIONS {
+        let (handle, builder, engine) = start(&db, 6, None, None);
         let addr = handle.addr();
 
         // A burst of clients that all hang up mid-frame: after the header,
@@ -775,15 +767,15 @@ fn mid_frame_disconnects_leave_the_server_healthy() {
         // the protocol-error path (truncation is a disconnect, not a
         // protocol violation).
         std::thread::sleep(Duration::from_millis(100));
-        let mut client = Client::connect(addr).expect("server still accepting");
-        assert_eq!(client.ping().expect("ping"), 1, "{model:?}");
+        let mut client = dial(addr, version, ClientConfig::default());
+        assert_eq!(client.ping().expect("ping"), 1, "v{version}");
         assert_eq!(
             engine
                 .metrics()
                 .protocol_errors
                 .load(std::sync::atomic::Ordering::Relaxed),
             0,
-            "{model:?}: mid-frame EOF must not count as a protocol error"
+            "v{version}: mid-frame EOF must not count as a protocol error"
         );
 
         client.shutdown().expect("shutdown");

@@ -1,7 +1,8 @@
 //! Differential property suite for the wire-protocol codecs: the
 //! incremental [`FrameDecoder`] (reactor path) against the blocking
-//! `read_frame_limited` (thread path), over arbitrary byte streams fed
-//! at arbitrary split boundaries.
+//! `read_frame_limited` (client and non-Linux fallback path), over
+//! arbitrary byte streams fed at arbitrary split boundaries. The wire
+//! tests at the end pin the reactor's error frames to goldens.
 //!
 //! The two codecs are independent implementations of the same grammar;
 //! any divergence — a frame decoded by one and not the other, a
@@ -203,17 +204,83 @@ fn runaway_headers_are_capped_not_buffered() {
     );
 }
 
-/// Deterministic cross-model differential on the wire: the same
-/// malformed inputs produce byte-identical error frames from a threads
-/// server and a reactor server.
-#[cfg(target_os = "linux")]
-#[test]
-fn both_server_models_emit_identical_error_frames() {
-    use std::io::Write;
+/// Error frames the thread-per-connection and reactor models both
+/// emitted, byte for byte, for the malformed frames in
+/// [`malformed_frames_get_the_golden_error_frames`], captured while both
+/// models still existed. The reactor must keep emitting exactly these.
+const GOLDEN_FRAME_ERRORS: [&str; 5] = [
+    r#"{"ok":false,"error":"invalid frame header \"notanumber\\n\""}"#,
+    r#"{"ok":false,"error":"frame of 16777217 bytes exceeds limit"}"#,
+    r#"{"ok":false,"error":"frame missing trailing newline"}"#,
+    r#"{"ok":false,"error":"json error at byte 0: invalid literal"}"#,
+    r#"{"ok":false,"error":"unknown op \"warp\""}"#,
+];
 
-    use plt::serve::{bootstrap, serve, BuilderConfig, ServerConfig, ServerModel};
+/// Golden error replies to the malformed requests in
+/// [`error_frames_match_the_goldens_for_both_envelope_versions`], per
+/// envelope version, captured from both models like
+/// [`GOLDEN_FRAME_ERRORS`].
+const GOLDEN_REQUEST_ERRORS: [[&str; 3]; 2] = [
+    [
+        r#"{"ok":false,"error":"unknown op \"warp\""}"#,
+        r#"{"ok":false,"error":"query: TOP count must be an integer, found end of query"}"#,
+        r#"{"ok":false,"error":"json error at byte 0: invalid literal"}"#,
+    ],
+    [
+        r#"{"v":2,"status":"error","stale":false,"approx":false,"error_bound":null,"generation":null,"data":{"error":"unknown op \"warp\""}}"#,
+        r#"{"v":2,"status":"error","stale":false,"approx":false,"error_bound":null,"generation":null,"data":{"error":"query: TOP count must be an integer, found end of query"}}"#,
+        r#"{"v":2,"status":"error","stale":false,"approx":false,"error_bound":null,"generation":null,"data":{"error":"json error at byte 0: invalid literal"}}"#,
+    ],
+];
+
+/// Starts a one-reactor server over a tiny warmup window.
+fn start_server() -> (plt::serve::ServerHandle, plt::serve::BuilderHandle) {
+    use plt::serve::{bootstrap, serve, BuilderConfig, ServerConfig};
 
     let warmup = vec![vec![1, 2], vec![1, 2], vec![1, 3]];
+    let config = BuilderConfig {
+        window_capacity: 64,
+        min_support: 2,
+        ..BuilderConfig::default()
+    };
+    let (engine, builder) = bootstrap(&warmup, config).expect("bootstrap");
+    let handle = serve(
+        "127.0.0.1:0",
+        engine,
+        Some(builder.queue()),
+        ServerConfig {
+            reactors: 1,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind");
+    (handle, builder)
+}
+
+fn write_frame(s: &mut std::net::TcpStream, payload: &str) {
+    use std::io::Write;
+    s.write_all(format!("{}\n{}\n", payload.len(), payload).as_bytes())
+        .expect("write frame");
+}
+
+fn read_frame(r: &mut impl BufRead) -> Option<String> {
+    let mut line = String::new();
+    if r.read_line(&mut line).unwrap_or(0) == 0 {
+        return None;
+    }
+    let len: usize = line.trim().parse().expect("response header");
+    let mut payload = vec![0u8; len + 1];
+    std::io::Read::read_exact(r, &mut payload).expect("response payload");
+    payload.pop();
+    Some(String::from_utf8(payload).expect("utf-8 response"))
+}
+
+/// Deterministic wire differential: malformed frames get byte-identical
+/// error frames to the goldens, one fresh connection per case.
+#[test]
+fn malformed_frames_get_the_golden_error_frames() {
+    use std::io::Write;
+
     let cases: Vec<Vec<u8>> = vec![
         b"notanumber\n{}\n".to_vec(),
         format!("{}\n", 16 * 1024 * 1024 + 1).into_bytes(),
@@ -221,87 +288,32 @@ fn both_server_models_emit_identical_error_frames() {
         b"7\nnotjson\n".to_vec(),
         b"13\n{\"op\":\"warp\"}\n".to_vec(),
     ];
-
-    let mut per_model = Vec::new();
-    for model in [ServerModel::Threads, ServerModel::Reactor] {
-        let config = BuilderConfig {
-            window_capacity: 64,
-            min_support: 2,
-            ..BuilderConfig::default()
-        };
-        let (engine, builder) = bootstrap(&warmup, config).expect("bootstrap");
-        let handle = serve(
-            "127.0.0.1:0",
-            engine,
-            Some(builder.queue()),
-            ServerConfig {
-                server_model: model,
-                acceptors: 1,
-                reactors: 1,
-                ..ServerConfig::default()
-            },
-        )
-        .expect("bind");
-
-        let mut replies = Vec::new();
-        for case in &cases {
-            let mut s = std::net::TcpStream::connect(handle.addr()).expect("connect");
-            s.set_read_timeout(Some(std::time::Duration::from_secs(5)))
-                .unwrap();
-            s.write_all(case).expect("write");
-            let mut r = std::io::BufReader::new(s);
-            let mut line = String::new();
-            let reply = if r.read_line(&mut line).unwrap_or(0) == 0 {
-                String::from("<closed>")
-            } else {
-                let len: usize = line.trim().parse().expect("response header");
-                let mut payload = vec![0u8; len + 1];
-                std::io::Read::read_exact(&mut r, &mut payload).expect("response payload");
-                payload.pop();
-                String::from_utf8(payload).expect("utf-8 response")
-            };
-            replies.push(reply);
-        }
-        handle.shutdown();
-        builder.stop();
-        per_model.push(replies);
+    let (handle, builder) = start_server();
+    for (case, golden) in cases.iter().zip(GOLDEN_FRAME_ERRORS) {
+        let mut s = std::net::TcpStream::connect(handle.addr()).expect("connect");
+        s.set_read_timeout(Some(std::time::Duration::from_secs(5)))
+            .unwrap();
+        s.write_all(case).expect("write");
+        let reply = read_frame(&mut std::io::BufReader::new(s));
+        assert_eq!(
+            reply.as_deref(),
+            Some(golden),
+            "{:?}",
+            String::from_utf8_lossy(case)
+        );
     }
-    assert_eq!(
-        per_model[0], per_model[1],
-        "threads and reactor answered malformed input differently"
-    );
+    handle.shutdown();
+    builder.stop();
 }
 
-/// The same differential, run per envelope version: a v2 connection
+/// The same differential, per envelope version: a v2 connection
 /// (negotiated via `hello`) gets its protocol errors wrapped in the v2
-/// envelope, byte-identically across server models, while v1
-/// connections keep the flat frames.
-#[cfg(target_os = "linux")]
+/// envelope, while v1 connections keep the flat frames — both
+/// byte-identical to the goldens.
 #[test]
-fn error_frames_agree_across_models_for_both_envelope_versions() {
-    use std::io::Write;
-
+fn error_frames_match_the_goldens_for_both_envelope_versions() {
     use plt::serve::json::Json;
-    use plt::serve::{bootstrap, serve, BuilderConfig, ServerConfig, ServerModel};
 
-    fn write_frame(s: &mut std::net::TcpStream, payload: &str) {
-        s.write_all(format!("{}\n{}\n", payload.len(), payload).as_bytes())
-            .expect("write frame");
-    }
-
-    fn read_frame(r: &mut impl BufRead) -> Option<String> {
-        let mut line = String::new();
-        if r.read_line(&mut line).unwrap_or(0) == 0 {
-            return None;
-        }
-        let len: usize = line.trim().parse().expect("response header");
-        let mut payload = vec![0u8; len + 1];
-        std::io::Read::read_exact(r, &mut payload).expect("response payload");
-        payload.pop();
-        Some(String::from_utf8(payload).expect("utf-8 response"))
-    }
-
-    let warmup = vec![vec![1, 2], vec![1, 2], vec![1, 3]];
     // Malformed *requests* only (valid frames): framing violations kill
     // the connection before version negotiation can matter.
     let cases = [
@@ -309,69 +321,30 @@ fn error_frames_agree_across_models_for_both_envelope_versions() {
         r#"{"op":"query","expr":"TOP"}"#,
         r#"not json"#,
     ];
-
-    for version in [1u64, 2] {
-        let mut per_model = Vec::new();
-        for model in [ServerModel::Threads, ServerModel::Reactor] {
-            let config = BuilderConfig {
-                window_capacity: 64,
-                min_support: 2,
-                ..BuilderConfig::default()
-            };
-            let (engine, builder) = bootstrap(&warmup, config).expect("bootstrap");
-            let handle = serve(
-                "127.0.0.1:0",
-                engine,
-                Some(builder.queue()),
-                ServerConfig {
-                    server_model: model,
-                    acceptors: 1,
-                    reactors: 1,
-                    ..ServerConfig::default()
-                },
-            )
-            .expect("bind");
-
-            let mut replies = Vec::new();
-            for case in &cases {
-                let mut s = std::net::TcpStream::connect(handle.addr()).expect("connect");
-                s.set_read_timeout(Some(std::time::Duration::from_secs(5)))
-                    .unwrap();
-                if version >= 2 {
-                    write_frame(&mut s, &format!(r#"{{"op":"hello","version":{version}}}"#));
-                }
-                write_frame(&mut s, case);
-                let mut r = std::io::BufReader::new(s);
-                if version >= 2 {
-                    read_frame(&mut r).expect("hello ack");
-                }
-                let reply = read_frame(&mut r).unwrap_or_else(|| String::from("<closed>"));
-                replies.push(reply);
+    let (handle, builder) = start_server();
+    for (version, goldens) in [1u64, 2].into_iter().zip(GOLDEN_REQUEST_ERRORS) {
+        for (case, golden) in cases.iter().zip(goldens) {
+            let mut s = std::net::TcpStream::connect(handle.addr()).expect("connect");
+            s.set_read_timeout(Some(std::time::Duration::from_secs(5)))
+                .unwrap();
+            if version >= 2 {
+                write_frame(&mut s, &format!(r#"{{"op":"hello","version":{version}}}"#));
             }
-            handle.shutdown();
-            builder.stop();
-            per_model.push(replies);
-        }
-        assert_eq!(
-            per_model[0], per_model[1],
-            "v{version}: threads and reactor answered malformed requests differently"
-        );
+            write_frame(&mut s, case);
+            let mut r = std::io::BufReader::new(s);
+            if version >= 2 {
+                read_frame(&mut r).expect("hello ack");
+            }
+            let reply = read_frame(&mut r).unwrap_or_else(|| String::from("<closed>"));
+            assert_eq!(reply, golden, "v{version}: {case}");
 
-        // Every reply carries the shape its version promises.
-        for reply in &per_model[0] {
-            let v = Json::parse(reply).expect("error replies are JSON");
+            // Every reply carries the shape its version promises.
+            let v = Json::parse(&reply).expect("error replies are JSON");
             if version >= 2 {
                 assert_eq!(v.get("v").and_then(Json::as_u64), Some(2), "{reply}");
                 assert_eq!(
                     v.get("status").and_then(Json::as_str),
                     Some("error"),
-                    "{reply}"
-                );
-                assert!(
-                    v.get("data")
-                        .and_then(|d| d.get("error"))
-                        .and_then(Json::as_str)
-                        .is_some(),
                     "{reply}"
                 );
             } else {
@@ -380,4 +353,6 @@ fn error_frames_agree_across_models_for_both_envelope_versions() {
             }
         }
     }
+    handle.shutdown();
+    builder.stop();
 }

@@ -2,7 +2,8 @@
 //! control must refuse with an explicit `shed` error frame — never a
 //! hang — at the exact connection-budget and accept-backlog edges, the
 //! refusals must be visible in `stats`, and a shed client retrying with
-//! backoff must get in once load drops.
+//! backoff must get in once load drops. Pipelined batches must answer
+//! in order under both envelope versions.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -10,7 +11,7 @@ use std::time::Duration;
 
 use plt::serve::{
     bootstrap, serve, BuilderConfig, Client, ClientConfig, FaultConfig, FaultPlan, Request,
-    RetryPolicy, ServerConfig, ServerModel,
+    RetryPolicy, ServerConfig,
 };
 
 fn warmup() -> Vec<Vec<u32>> {
@@ -60,7 +61,6 @@ fn connect_expecting_shed(addr: std::net::SocketAddr, wait: Duration) -> Option<
 fn the_connection_budget_edge_sheds_exactly_past_the_cap() {
     let cap = 4;
     let (handle, builder) = start_reactor(ServerConfig {
-        server_model: ServerModel::Reactor,
         reactors: 1,
         max_connections: cap,
         ..ServerConfig::default()
@@ -147,53 +147,55 @@ fn the_connection_budget_edge_sheds_exactly_past_the_cap() {
 #[cfg(target_os = "linux")]
 #[test]
 fn a_full_accept_backlog_sheds_instead_of_queueing() {
-    // One reactor, a one-slot handoff queue, and a fault plan that
-    // stalls every reactor I/O call for 150 ms: the reactor can't drain
-    // accepted sockets as fast as we connect, so the dispatching
-    // acceptor must hit the backlog edge and shed — not block, not
-    // queue unboundedly.
-    let stall = FaultPlan::shared(FaultConfig {
-        stall: 1.0,
-        stall_ms: 150,
-        ..FaultConfig::disabled(0xBAC0)
-    });
+    // One reactor and a one-slot handoff queue. A held fault plan parks
+    // the reactor inside its next I/O call, so it cannot drain accepted
+    // sockets: the first burst connection fills the queue and the
+    // dispatching acceptor must shed the rest — not block, not queue
+    // unboundedly.
+    let plan = FaultPlan::shared(FaultConfig::disabled(0xBAC0));
     let (handle, builder) = start_reactor(ServerConfig {
-        server_model: ServerModel::Reactor,
         reactors: 1,
         accept_backlog: 1,
         max_connections: 1024,
-        fault: Some(stall),
+        fault: Some(plan.clone()),
         ..ServerConfig::default()
     });
     let addr = handle.addr();
 
-    // Occupy the reactor: a conn whose read is mid-stall.
+    // Park the reactor: a byte from this peer sends it into a read,
+    // where the held plan stops it until released.
+    plan.hold_io();
     let mut busy = TcpStream::connect(addr).expect("first connect");
     busy.write_all(b"1")
-        .expect("poke the reactor into a stalled read");
+        .expect("poke the reactor into a parked read");
+    assert!(
+        plan.wait_parked(Duration::from_secs(10)),
+        "reactor never reached its read"
+    );
 
-    // Burst more connections than the backlog can hold while the
-    // reactor sleeps. At least one must come back with the backlog shed
-    // frame; none may hang.
-    // Shed frames come straight off the acceptor thread, so a short
-    // read window suffices; an admitted-but-unanswered socket gives up
-    // quickly instead of waiting out a full deadline.
+    // Open the whole burst before reading any reply, so the backlog is
+    // full while the reactor is parked. Shed frames come straight off
+    // the acceptor thread; the one admitted socket gets no reply, and a
+    // short read window lets it give up quickly.
+    let burst: Vec<TcpStream> = (0..12)
+        .map(|i| TcpStream::connect(addr).unwrap_or_else(|e| panic!("burst connect {i}: {e}")))
+        .collect();
     let mut sheds = 0;
-    for _ in 0..12 {
-        if let Some(frame) = connect_expecting_shed(addr, Duration::from_millis(400)) {
+    for stream in burst {
+        stream
+            .set_read_timeout(Some(Duration::from_millis(400)))
+            .unwrap();
+        if let Some(frame) = read_raw_frame(&mut BufReader::new(stream)) {
             assert!(
                 frame.contains("shed: accept backlog full"),
                 "unexpected refusal: {frame}"
             );
             sheds += 1;
         }
-        // No sleep: outrun the stalled reactor on purpose.
     }
-    assert!(
-        sheds >= 1,
-        "backlog edge never shed under a stalled reactor"
-    );
+    assert!(sheds >= 1, "backlog edge never shed under a parked reactor");
 
+    plan.release_io();
     drop(busy);
     handle.shutdown();
     builder.stop();
@@ -201,16 +203,21 @@ fn a_full_accept_backlog_sheds_instead_of_queueing() {
 
 #[cfg(target_os = "linux")]
 #[test]
-fn pipelined_batches_answer_in_order_on_both_models() {
-    for model in [ServerModel::Threads, ServerModel::Reactor] {
+fn pipelined_batches_answer_in_order() {
+    for version in [1u64, 2] {
         let (handle, builder) = start_reactor(ServerConfig {
-            server_model: model,
-            acceptors: 1,
             reactors: 1,
             ..ServerConfig::default()
         });
 
-        let mut client = Client::connect(handle.addr()).expect("connect");
+        let mut client = Client::with_config(
+            handle.addr(),
+            ClientConfig {
+                protocol_version: version,
+                ..ClientConfig::default()
+            },
+        )
+        .expect("connect");
         // A mixed batch: point queries, a bad request in the middle (it
         // must not abort the batch), and more queries after it.
         let mut requests: Vec<Request> = Vec::new();
@@ -241,14 +248,14 @@ fn pipelined_batches_answer_in_order_on_both_models() {
                     assert_eq!(
                         v.get("support").and_then(|s| s.as_u64()),
                         Some(16),
-                        "{model:?}: reply {i} out of order or wrong"
+                        "v{version}: reply {i} out of order or wrong"
                     );
                 }
                 (Request::Extensions { .. }, _) => {
                     // Empty-itemset extensions may answer or error by
                     // protocol rules; either way it lands at position 16.
                 }
-                (req, Err(e)) => panic!("{model:?}: {req:?} failed: {e}"),
+                (req, Err(e)) => panic!("v{version}: {req:?} failed: {e}"),
                 _ => {}
             }
         }
