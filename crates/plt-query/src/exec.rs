@@ -284,8 +284,11 @@ pub fn execute(op: PhysOp, q: &Query, src: &dyn Source) -> Result<(Rows, Option<
 /// popped support drops *strictly* below the k-th collected support, no
 /// remaining node can enter the top k (equal-support nodes still
 /// compete on the size/lex tie-break, hence the strict comparison) and
-/// the traversal stops. The collected rows are then canonically sorted
-/// to settle ties and truncated to `k`.
+/// the traversal stops. A top-level support floor of the filter
+/// ([`support_bound`]) stops it too, and keeps children below the floor
+/// out of the frontier: support is anti-monotone, so nothing under such
+/// a node can pass. The collected rows are then canonically sorted to
+/// settle ties and truncated to `k`.
 fn ext_traverse(
     src: &dyn Source,
     seeds: Vec<(Itemset, Support)>,
@@ -296,6 +299,7 @@ fn ext_traverse(
         return Vec::new();
     }
     let n = src.stats().num_transactions;
+    let floor = filter.and_then(|p| support_bound(p, n)).unwrap_or(0);
     let mut heap: BinaryHeap<(Support, Reverse<Itemset>)> = BinaryHeap::new();
     let mut visited: HashSet<Itemset> = HashSet::new();
     for (set, sup) in seeds {
@@ -305,7 +309,7 @@ fn ext_traverse(
     }
     let mut passing: Vec<(Itemset, Support)> = Vec::new();
     while let Some((sup, Reverse(set))) = heap.pop() {
-        if passing.len() >= k && sup < passing[k - 1].1 {
+        if sup < floor || (passing.len() >= k && sup < passing[k - 1].1) {
             break;
         }
         let passes = match filter {
@@ -316,6 +320,9 @@ fn ext_traverse(
             passing.push((set.clone(), sup));
         }
         for (item, child_sup) in src.extensions_of(set.items()) {
+            if child_sup < floor {
+                continue;
+            }
             let child = set.with(item);
             if visited.insert(child.clone()) {
                 heap.push((child_sup, Reverse(child)));
@@ -383,6 +390,32 @@ pub(crate) fn confidence_bound(pred: &Pred) -> Option<(f64, bool)> {
             op: CmpOp::Gt,
             value,
         } => Some((value.as_f64(), true)),
+        _ => None,
+    }
+}
+
+/// Extracts a support floor from the top-level AND chain of an itemset
+/// filter: the least support a passing row can have, or `None` if the
+/// chain has no `support >=`/`>` atom. Fractions resolve against `n`
+/// exactly as [`eval_itemset`] resolves them, and `support > s` floors
+/// at `s + 1`. As with [`confidence_bound`], atoms under OR/NOT do not
+/// count; of several floors the tightest (largest) wins.
+pub(crate) fn support_bound(pred: &Pred, n: u64) -> Option<Support> {
+    match pred {
+        Pred::And(a, b) => match (support_bound(a, n), support_bound(b, n)) {
+            (Some(x), Some(y)) => Some(x.max(y)),
+            (x, y) => x.or(y),
+        },
+        Pred::Cmp {
+            field: Field::Support,
+            op: CmpOp::Ge,
+            value,
+        } => Some(value.as_support(n)),
+        Pred::Cmp {
+            field: Field::Support,
+            op: CmpOp::Gt,
+            value,
+        } => Some(value.as_support(n).saturating_add(1)),
         _ => None,
     }
 }
@@ -490,6 +523,22 @@ mod tests {
         assert!(err.to_string().contains("attached sketch"));
     }
 
+    /// `support op value AND size >= 2`.
+    fn floor_and_pairs(op: CmpOp, value: Num) -> Pred {
+        Pred::And(
+            Box::new(Pred::Cmp {
+                field: Field::Support,
+                op,
+                value,
+            }),
+            Box::new(Pred::Cmp {
+                field: Field::Size,
+                op: CmpOp::Ge,
+                value: Num::Abs(2),
+            }),
+        )
+    }
+
     #[test]
     fn ext_traverse_matches_naive_top() {
         let src = mem_source(2);
@@ -510,6 +559,12 @@ mod tests {
             )),
             Some(Pred::PrefixLike(vec![PatElem::Any, PatElem::Item(1)])),
             Some(Pred::Not(Box::new(Pred::Contains(vec![2])))),
+            // Support floors sitting exactly on supports of Table 1 (3 and
+            // 4; 0.5 of 6 transactions is 3), so with k = 100 the
+            // traversal ends on the floor, not on k.
+            Some(floor_and_pairs(CmpOp::Ge, Num::Abs(3))),
+            Some(floor_and_pairs(CmpOp::Gt, Num::Abs(3))),
+            Some(floor_and_pairs(CmpOp::Ge, Num::Frac(0.5))),
         ];
         for k in [1, 2, 3, 10, 100] {
             for filter in &filters {
@@ -611,5 +666,63 @@ mod tests {
         let or = Pred::Or(Box::new(ge.clone()), Box::new(gt));
         assert_eq!(confidence_bound(&or), None);
         assert_eq!(confidence_bound(&Pred::Not(Box::new(ge))), None);
+    }
+
+    #[test]
+    fn support_bound_extraction() {
+        let support = |op, value| Pred::Cmp {
+            field: Field::Support,
+            op,
+            value,
+        };
+        let size = Pred::Cmp {
+            field: Field::Size,
+            op: CmpOp::Ge,
+            value: Num::Abs(2),
+        };
+        let and = |a: Pred, b: Pred| Pred::And(Box::new(a), Box::new(b));
+        let n = 1000;
+        // Fractions round up exactly as `eval_itemset` does: 0.0045·1000
+        // is 4.5 transactions, so at least 5.
+        assert_eq!(
+            support_bound(&support(CmpOp::Ge, Num::Frac(0.0045)), n),
+            Some(5)
+        );
+        assert_eq!(
+            support_bound(&support(CmpOp::Ge, Num::Frac(0.005)), n),
+            Some(5)
+        );
+        assert_eq!(support_bound(&support(CmpOp::Ge, Num::Abs(7)), n), Some(7));
+        // Strict: `support > 5` first holds at 6, whichever way 5 is written.
+        assert_eq!(support_bound(&support(CmpOp::Gt, Num::Abs(5)), n), Some(6));
+        assert_eq!(
+            support_bound(&support(CmpOp::Gt, Num::Frac(0.005)), n),
+            Some(6)
+        );
+        // AND chains keep the tightest floor, in any position.
+        let chain = and(
+            and(support(CmpOp::Ge, Num::Abs(3)), size.clone()),
+            support(CmpOp::Gt, Num::Frac(0.008)),
+        );
+        assert_eq!(support_bound(&chain, n), Some(9));
+        let chain = and(support(CmpOp::Ge, Num::Abs(12)), chain);
+        assert_eq!(support_bound(&chain, n), Some(12));
+        // Upper bounds, equality and other fields are no floor.
+        assert_eq!(support_bound(&support(CmpOp::Le, Num::Abs(5)), n), None);
+        assert_eq!(support_bound(&support(CmpOp::Eq, Num::Abs(5)), n), None);
+        assert_eq!(support_bound(&size, n), None);
+        // Under OR or NOT the floor is not safe.
+        let ge = support(CmpOp::Ge, Num::Abs(5));
+        let or = Pred::Or(Box::new(ge.clone()), Box::new(size.clone()));
+        assert_eq!(support_bound(&or, n), None);
+        assert_eq!(support_bound(&Pred::Not(Box::new(ge.clone())), n), None);
+        assert_eq!(support_bound(&and(or, size), n), None);
+        assert_eq!(
+            support_bound(
+                &and(Pred::Not(Box::new(ge)), support(CmpOp::Ge, Num::Abs(2))),
+                n
+            ),
+            Some(2)
+        );
     }
 }

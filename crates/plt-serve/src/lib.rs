@@ -85,13 +85,97 @@ mod prop_tests {
     //! Property: snapshot answers agree with the miner, whatever the
     //! database.
 
+    use std::collections::HashMap;
+
     use plt_core::construct::{construct, ConstructOptions};
+    use plt_core::item::{Item, Itemset, Support};
     use plt_core::miner::{BruteForceMiner, Miner};
     use plt_core::ConditionalMiner;
-    use plt_rules::RuleConfig;
+    use plt_rules::{Rule, RuleConfig};
     use proptest::prelude::*;
 
-    use crate::snapshot::Snapshot;
+    use crate::snapshot::{Recommendation, Snapshot};
+
+    fn snapshot_of(db: &[Vec<Item>], min_support: Support, rule_config: RuleConfig) -> Snapshot {
+        let plt = construct(db, min_support, ConstructOptions::conditional()).unwrap();
+        let result = ConditionalMiner::default().mine(db, min_support);
+        Snapshot::build(1, plt, &result, rule_config)
+    }
+
+    /// The recommendation oracle: a linear scan of every rule in the
+    /// standard quality order, testing `antecedent ⊆ basket` on each.
+    fn recommend_by_scan(rules: &[Rule], basket: &[Item], k: usize) -> Vec<Recommendation> {
+        let basket_set = Itemset::new(basket.to_vec());
+        let mut best: HashMap<Item, Recommendation> = HashMap::new();
+        for rule in rules {
+            if !rule.antecedent.is_subset_of(&basket_set) {
+                continue;
+            }
+            for &item in rule.consequent.items() {
+                if basket_set.contains(item) {
+                    continue;
+                }
+                let candidate = Recommendation {
+                    item,
+                    confidence: rule.confidence,
+                    lift: rule.lift,
+                    support: rule.support,
+                    because: rule.antecedent.clone(),
+                };
+                match best.get(&item) {
+                    Some(cur)
+                        if (cur.confidence, cur.lift, cur.support)
+                            >= (candidate.confidence, candidate.lift, candidate.support) => {}
+                    _ => {
+                        best.insert(item, candidate);
+                    }
+                }
+            }
+        }
+        let mut out: Vec<Recommendation> = best.into_values().collect();
+        out.sort_by(|a, b| {
+            b.confidence
+                .total_cmp(&a.confidence)
+                .then(b.lift.total_cmp(&a.lift))
+                .then(b.support.cmp(&a.support))
+                .then(a.item.cmp(&b.item))
+        });
+        out.truncate(k);
+        out
+    }
+
+    /// Two rules tie on (confidence, lift, support) for item 2 under the
+    /// basket {0, 1, 3}: `{0,3} → {2}` (filed under its rarer item 3)
+    /// and `{1} → {2}` (filed under 1). The quality order puts `{0,3}`
+    /// first, so it must be the `because`, although the index reaches
+    /// it through the larger basket item.
+    #[test]
+    fn recommend_keeps_the_first_of_tied_rules() {
+        let mut db: Vec<Vec<Item>> = Vec::new();
+        db.extend([vec![0, 2, 3], vec![0, 2, 3], vec![0, 3], vec![3]]);
+        db.extend([vec![1, 2], vec![1, 2], vec![1]]);
+        db.extend([vec![0], vec![0], vec![0]]);
+        let snap = snapshot_of(&db, 2, RuleConfig::default());
+        let rule = |ante: &[Item]| {
+            snap.rules()
+                .iter()
+                .position(|r| r.antecedent.items() == ante && r.consequent.items() == [2])
+                .unwrap_or_else(|| panic!("rule {ante:?} -> {{2}} missing"))
+        };
+        let (first, second) = (rule(&[0, 3]), rule(&[1]));
+        assert!(first < second);
+        let (a, b) = (&snap.rules()[first], &snap.rules()[second]);
+        assert_eq!(
+            (a.confidence, a.lift, a.support),
+            (b.confidence, b.lift, b.support)
+        );
+
+        let recs = snap.recommend(&[3, 1, 0], 5);
+        assert_eq!(recs, recommend_by_scan(snap.rules(), &[3, 1, 0], 5));
+        assert_eq!(recs.len(), 1);
+        assert_eq!(recs[0].item, 2);
+        assert_eq!(recs[0].because.items(), &[0, 3]);
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
@@ -165,6 +249,42 @@ mod prop_tests {
                         result.support(&superset),
                         Some(support),
                         "{:?} + {}", itemset, e
+                    );
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The rule-index probe answers exactly what a scan of every rule
+        /// answers, row for row and `because` included. Baskets may repeat
+        /// items, name items no transaction holds (8, 9) or that were
+        /// never ranked, and outgrow every antecedent.
+        #[test]
+        fn prop_recommend_equals_the_linear_scan(
+            db in proptest::collection::vec(
+                proptest::collection::btree_set(0u32..8, 1..6),
+                1..30,
+            ),
+            baskets in proptest::collection::vec(
+                proptest::collection::vec(0u32..10, 0..7),
+                1..12,
+            ),
+            min_support in 1u64..4,
+            min_confidence in 0.0f64..1.0,
+        ) {
+            let db: Vec<Vec<u32>> = db.into_iter()
+                .map(|t| t.into_iter().collect())
+                .collect();
+            let snap = snapshot_of(&db, min_support, RuleConfig { min_confidence });
+            for basket in &baskets {
+                for k in [0, 1, 5, usize::MAX] {
+                    prop_assert_eq!(
+                        snap.recommend(basket, k),
+                        recommend_by_scan(snap.rules(), basket, k),
+                        "basket {:?}, k {}", basket, k
                     );
                 }
             }

@@ -13,10 +13,12 @@
 //!   droppable item `e` contribute an entry `key(Z \ {e}) → (e,
 //!   support(Z))`, so "what extends X?" is again a single probe.
 //! * **Top-k** reads a prefix of a support-sorted array.
-//! * **Recommendations** scan precomputed association rules whose
-//!   antecedent is contained in the query basket.
+//! * **Recommendations** probe a rule index: every precomputed
+//!   association rule is filed under the rank of one antecedent item
+//!   (its rarest), so only the rules filed under a basket item's rank
+//!   are candidates for `antecedent ⊆ basket`.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use plt_core::item::{Item, Itemset, Support};
 use plt_core::miner::MiningResult;
@@ -88,6 +90,11 @@ pub struct Snapshot {
     ranked: Vec<(Itemset, Support)>,
     /// Association rules sorted by the standard quality order.
     rules: Vec<Rule>,
+    /// Rule index, one slot per rank: `rules_by_rank[r − 1]` holds the
+    /// ascending positions in `rules` of the rules filed under the item
+    /// of rank `r`. Each rule is filed once, under its antecedent's
+    /// rarest item, so it can only fire for a basket holding that item.
+    rules_by_rank: Vec<Vec<u32>>,
     /// Optional approximate-tier sketch over the same window; when
     /// attached, the plt-query planner's `sketch_probe` operator becomes
     /// eligible for `APPROX`-tier support queries.
@@ -146,6 +153,18 @@ impl Snapshot {
 
         let mut rules = generate_rules(result, rule_config);
         sort_rules(&mut rules);
+        let ranking = plt.ranking();
+        let mut rules_by_rank: Vec<Vec<u32>> = vec![Vec::new(); ranking.len()];
+        for (pos, rule) in rules.iter().enumerate() {
+            let rarest = rule
+                .antecedent
+                .items()
+                .iter()
+                .map(|&i| ranking.rank(i).expect("mined items are ranked"))
+                .min_by_key(|&r| (ranking.support_of_rank(r), r))
+                .expect("rule antecedents are non-empty");
+            rules_by_rank[rarest as usize - 1].push(pos as u32);
+        }
 
         Snapshot {
             generation,
@@ -156,6 +175,7 @@ impl Snapshot {
             roots,
             ranked,
             rules,
+            rules_by_rank,
             sketch: None,
         }
     }
@@ -249,44 +269,62 @@ impl Snapshot {
     /// Rule-backed recommendations for a basket: items whose rules fire
     /// (antecedent ⊆ basket, consequent ∌ basket items), best rule per
     /// item, sorted by confidence then lift. At most `k`.
+    ///
+    /// Candidates are the rules filed under the basket's items, visited
+    /// in ascending rule position — the standard quality order. So the
+    /// first rule that fires for an item is its best (of tied rules, the
+    /// first, as a full scan keeps), and once `k` items are found and
+    /// the quality drops strictly below the `k`-th, no later rule can
+    /// place an item in the top `k` and the walk stops.
     pub fn recommend(&self, basket: &[Item], k: usize) -> Vec<Recommendation> {
+        if k == 0 {
+            return Vec::new();
+        }
         let basket_set = Itemset::new(basket.to_vec());
-        let mut best: HashMap<Item, Recommendation> = HashMap::new();
-        for rule in &self.rules {
+        let ranking = self.plt.ranking();
+        let mut candidates: Vec<u32> = basket_set
+            .items()
+            .iter()
+            .filter_map(|&item| ranking.rank(item))
+            .flat_map(|r| &self.rules_by_rank[r as usize - 1])
+            .copied()
+            .collect();
+        candidates.sort_unstable();
+        let quality = |r: &Rule| (r.confidence, r.lift, r.support);
+        let mut seen: HashSet<Item> = HashSet::new();
+        let mut found: Vec<(Item, &Rule)> = Vec::new();
+        for pos in candidates {
+            let rule = &self.rules[pos as usize];
+            if found.len() >= k && quality(rule) < quality(found[k - 1].1) {
+                break;
+            }
             if !rule.antecedent.is_subset_of(&basket_set) {
                 continue;
             }
             for &item in rule.consequent.items() {
-                if basket_set.contains(item) {
-                    continue;
-                }
-                let candidate = Recommendation {
-                    item,
-                    confidence: rule.confidence,
-                    lift: rule.lift,
-                    support: rule.support,
-                    because: rule.antecedent.clone(),
-                };
-                match best.get(&item) {
-                    Some(cur)
-                        if (cur.confidence, cur.lift, cur.support)
-                            >= (candidate.confidence, candidate.lift, candidate.support) => {}
-                    _ => {
-                        best.insert(item, candidate);
-                    }
+                if !basket_set.contains(item) && seen.insert(item) {
+                    found.push((item, rule));
                 }
             }
         }
-        let mut out: Vec<Recommendation> = best.into_values().collect();
-        out.sort_by(|a, b| {
+        found.sort_by(|(ai, a), (bi, b)| {
             b.confidence
                 .total_cmp(&a.confidence)
                 .then(b.lift.total_cmp(&a.lift))
                 .then(b.support.cmp(&a.support))
-                .then(a.item.cmp(&b.item))
+                .then(ai.cmp(bi))
         });
-        out.truncate(k);
-        out
+        found.truncate(k);
+        found
+            .into_iter()
+            .map(|(item, rule)| Recommendation {
+                item,
+                confidence: rule.confidence,
+                lift: rule.lift,
+                support: rule.support,
+                because: rule.antecedent.clone(),
+            })
+            .collect()
     }
 
     /// Translate a rank sequence back into caller-facing items.

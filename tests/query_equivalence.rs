@@ -16,7 +16,7 @@ use std::collections::BTreeSet;
 
 use plt::core::construct::{construct, ConstructOptions};
 use plt::core::{ConditionalMiner, Miner};
-use plt::query::{applicable_ops, parse, run, run_forced, MemSource, NaiveExecutor};
+use plt::query::{applicable_ops, parse, run, run_forced, MemSource, NaiveExecutor, Source};
 use plt::rules::RuleConfig;
 use proptest::prelude::*;
 
@@ -134,6 +134,34 @@ fn gen_queries(rng: &mut Rng, n_items: u32) -> Vec<String> {
     qs
 }
 
+/// `TOP k WHERE support … AND size …` with the support floor set
+/// exactly on a support the data holds. The first `k` exceeds the
+/// number of frequent itemsets, so fewer than `k` rows pass and the
+/// traversal must end on the floor rather than on `k`; the second is
+/// small, so `k` can end it first. The floor is written as a count, as
+/// a strict count, as a fraction of the database, and as the tighter of
+/// two floors in one AND chain.
+fn floor_queries(rng: &mut Rng, src: &MemSource) -> Vec<String> {
+    let ranked = src.ranked();
+    if ranked.is_empty() {
+        return Vec::new();
+    }
+    let s = ranked[rng.below(ranked.len() as u64) as usize].1;
+    let n = src.stats().num_transactions;
+    let frac = s as f64 / n as f64;
+    let m = 1 + rng.below(3);
+    let mut qs = Vec::new();
+    for k in [ranked.len() as u64 + 1, 1 + rng.below(4)] {
+        qs.push(format!("TOP {k} WHERE support >= {s} AND size >= {m}"));
+        qs.push(format!("TOP {k} WHERE support > {s} AND size >= {m}"));
+        qs.push(format!("TOP {k} WHERE size >= {m} AND support >= {frac:?}"));
+        qs.push(format!(
+            "TOP {k} WHERE support >= 1 AND size >= {m} AND support >= {s}"
+        ));
+    }
+    qs
+}
+
 /// Runs `expr` through the oracle, the planner, and every applicable
 /// forced operator; `Err` carries a replayable description of the first
 /// disagreement.
@@ -225,13 +253,18 @@ proptest! {
         n_items in 3u32..9,
     ) {
         let mut rng = Rng::new(seed);
+        // A stream of its own, so the floor queries leave the draws of
+        // the other queries as they were.
+        let mut floor_rng = Rng::new(seed.rotate_left(32));
         let db = gen_db(&mut rng, shape, n_tx, n_items);
         let n = db.len() as u64;
         // Threshold sweep: everything frequent, a mid band, and a high
         // cut where little (sometimes nothing) survives.
         for min_support in [1, 2, (n / 4).max(3)] {
             let src = build_source(&db, min_support);
-            for expr in gen_queries(&mut rng, n_items) {
+            let mut exprs = gen_queries(&mut rng, n_items);
+            exprs.extend(floor_queries(&mut floor_rng, &src));
+            for expr in exprs {
                 if let Err(msg) = check_all_plans(&src, &expr) {
                     prop_assert!(
                         false,
