@@ -1,43 +1,42 @@
-//! Sharded LRU cache for rendered responses.
+//! Sharded LRU cache for computed responses.
 //!
 //! Read endpoints are deterministic functions of (snapshot generation,
-//! request), so the engine caches the rendered JSON string keyed by the
-//! canonical request text. The map is split into shards, each behind its
-//! own mutex, so concurrent readers on different shards never contend;
-//! within a shard, recency is a monotone tick and eviction removes the
-//! smallest tick (an `O(shard)` scan — shards are small by
-//! construction, `capacity / shards` entries).
+//! request), so the engine caches each typed reply, tagged with its
+//! generation, keyed by the canonical request text. Values are cheap to
+//! clone (a reply's body is an `Arc<str>`), so a hit is a refcount bump.
+//! The map is split into shards, each behind its own mutex, so
+//! concurrent readers on different shards never contend; within a shard,
+//! recency is a monotone tick and eviction removes the smallest tick (an
+//! `O(shard)` scan — shards are small by construction, `capacity /
+//! shards` entries).
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// A sharded least-recently-used string cache.
+const POISONED: &str = "a cache shard holder panicked";
+
+/// A sharded least-recently-used cache keyed by strings.
 #[derive(Debug)]
-pub struct ShardedCache {
-    shards: Vec<Mutex<Shard>>,
+pub struct ShardedCache<V> {
+    shards: Vec<Mutex<HashMap<String, (u64, V)>>>,
     per_shard: usize,
     tick: AtomicU64,
 }
 
-#[derive(Debug, Default)]
-struct Shard {
-    entries: HashMap<String, (u64, String)>,
-}
-
-impl ShardedCache {
+impl<V: Clone> ShardedCache<V> {
     /// A cache with `shards` shards of `capacity / shards` entries each
     /// (at least one per shard). `shards` must be non-zero.
-    pub fn new(capacity: usize, shards: usize) -> ShardedCache {
+    pub fn new(capacity: usize, shards: usize) -> ShardedCache<V> {
         assert!(shards > 0, "cache needs at least one shard");
         ShardedCache {
-            shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
+            shards: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
             per_shard: (capacity / shards).max(1),
             tick: AtomicU64::new(0),
         }
     }
 
-    fn shard(&self, key: &str) -> &Mutex<Shard> {
+    fn shard(&self, key: &str) -> &Mutex<HashMap<String, (u64, V)>> {
         // FNV-1a: stable across runs (unlike `RandomState`), cheap, and
         // good enough to spread protocol strings.
         let mut h: u64 = 0xcbf29ce484222325;
@@ -49,37 +48,36 @@ impl ShardedCache {
     }
 
     /// Fetches and refreshes recency.
-    pub fn get(&self, key: &str) -> Option<String> {
-        let mut shard = self.shard(key).lock().unwrap();
+    pub fn get(&self, key: &str) -> Option<V> {
+        let mut entries = self.shard(key).lock().expect(POISONED);
         let tick = self.tick.fetch_add(1, Ordering::Relaxed);
-        let (stamp, value) = shard.entries.get_mut(key)?;
+        let (stamp, value) = entries.get_mut(key)?;
         *stamp = tick;
         Some(value.clone())
     }
 
     /// Inserts, evicting the least-recently-used entry of the target
     /// shard when it is full.
-    pub fn put(&self, key: String, value: String) {
-        let mut shard = self.shard(&key).lock().unwrap();
+    pub fn put(&self, key: String, value: V) {
+        let mut entries = self.shard(&key).lock().expect(POISONED);
         let tick = self.tick.fetch_add(1, Ordering::Relaxed);
-        if shard.entries.len() >= self.per_shard && !shard.entries.contains_key(&key) {
-            if let Some(oldest) = shard
-                .entries
+        if entries.len() >= self.per_shard && !entries.contains_key(&key) {
+            if let Some(oldest) = entries
                 .iter()
                 .min_by_key(|(_, (stamp, _))| *stamp)
                 .map(|(k, _)| k.clone())
             {
-                shard.entries.remove(&oldest);
+                entries.remove(&oldest);
             }
         }
-        shard.entries.insert(key, (tick, value));
+        entries.insert(key, (tick, value));
     }
 
     /// Drops every entry — called when a new snapshot is published,
-    /// since cached responses embed the old generation's answers.
+    /// since entries for the old generation can no longer be served.
     pub fn clear(&self) {
         for shard in &self.shards {
-            shard.lock().unwrap().entries.clear();
+            shard.lock().expect(POISONED).clear();
         }
     }
 
@@ -87,7 +85,7 @@ impl ShardedCache {
     pub fn len(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.lock().unwrap().entries.len())
+            .map(|s| s.lock().expect(POISONED).len())
             .sum()
     }
 
@@ -102,7 +100,7 @@ mod tests {
 
     #[test]
     fn get_put_round_trip() {
-        let cache = ShardedCache::new(64, 8);
+        let cache = ShardedCache::<String>::new(64, 8);
         assert_eq!(cache.get("a"), None);
         cache.put("a".into(), "1".into());
         assert_eq!(cache.get("a").as_deref(), Some("1"));
@@ -114,7 +112,7 @@ mod tests {
     #[test]
     fn evicts_least_recently_used_within_shard() {
         // One shard of capacity 2 makes eviction order observable.
-        let cache = ShardedCache::new(2, 1);
+        let cache = ShardedCache::<String>::new(2, 1);
         cache.put("a".into(), "1".into());
         cache.put("b".into(), "2".into());
         cache.get("a"); // refresh a; b is now LRU
@@ -129,7 +127,7 @@ mod tests {
         // Fill a single shard, touch entries in a scrambled order, then
         // overflow one at a time: victims must fall out precisely in
         // last-touch order.
-        let cache = ShardedCache::new(4, 1);
+        let cache = ShardedCache::<String>::new(4, 1);
         for k in ["a", "b", "c", "d"] {
             cache.put(k.into(), k.to_uppercase());
         }
@@ -153,7 +151,7 @@ mod tests {
 
     #[test]
     fn overwriting_a_present_key_never_evicts() {
-        let cache = ShardedCache::new(2, 1);
+        let cache = ShardedCache::<String>::new(2, 1);
         cache.put("a".into(), "1".into());
         cache.put("b".into(), "2".into());
         // Shard is full, but "a" is present: replace in place.
@@ -165,7 +163,7 @@ mod tests {
 
     #[test]
     fn put_refreshes_recency_like_get() {
-        let cache = ShardedCache::new(2, 1);
+        let cache = ShardedCache::<String>::new(2, 1);
         cache.put("a".into(), "1".into());
         cache.put("b".into(), "2".into());
         cache.put("a".into(), "1b".into()); // a is now the newest
@@ -176,7 +174,7 @@ mod tests {
 
     #[test]
     fn clear_empties_all_shards() {
-        let cache = ShardedCache::new(32, 4);
+        let cache = ShardedCache::<String>::new(32, 4);
         for i in 0..20 {
             cache.put(format!("k{i}"), "v".into());
         }
@@ -187,7 +185,7 @@ mod tests {
 
     #[test]
     fn concurrent_access_is_safe() {
-        let cache = std::sync::Arc::new(ShardedCache::new(128, 8));
+        let cache = std::sync::Arc::new(ShardedCache::<String>::new(128, 8));
         std::thread::scope(|scope| {
             for t in 0..4 {
                 let cache = cache.clone();

@@ -13,9 +13,10 @@
 //!
 //! [`encode_frame`] / [`encode_frame_with`] are the write-side duals:
 //! they render a frame to owned bytes the connection drains through
-//! partial writes, mirroring `write_frame_with`'s fault injection
+//! partial writes. `encode_frame_with` is the one fault-aware encoder
 //! (a torn frame truncates the bytes; an oversized one lies in the
-//! header — both mark the connection for closure after the flush).
+//! header — both mark the connection for closure after the flush); the
+//! blocking `write_frame_with` writes its bytes too.
 
 use crate::fault::{FaultPlan, FrameFault, Site};
 use crate::proto::MAX_FRAME_BYTES;
@@ -177,11 +178,11 @@ pub fn encode_frame(payload: &str) -> Vec<u8> {
     format!("{}\n{}\n", payload.len(), payload).into_bytes()
 }
 
-/// Renders one frame under a fault plan, mirroring
-/// [`write_frame_with`](crate::proto::write_frame_with): returns the
-/// bytes to put on the wire and whether the connection must be closed
-/// once they flush (a torn or oversized frame leaves the stream
-/// unparseable, exactly like the blocking writer erroring out).
+/// Renders one frame under a fault plan: returns the bytes to put on
+/// the wire and whether the frame is broken, so the connection must be
+/// closed once they flush (a torn or oversized frame leaves the stream
+/// unparseable). [`write_frame_with`](crate::proto::write_frame_with)
+/// writes these bytes and then errors on a broken frame.
 pub fn encode_frame_with(payload: &str, fault: Option<(&FaultPlan, Site)>) -> (Vec<u8>, bool) {
     if let Some((plan, site)) = fault {
         let encoded = format!("{}\n{}\n", payload.len(), payload);

@@ -8,15 +8,20 @@
 //! Publishing a new snapshot is one pointer swap plus a cache clear;
 //! reactor workers skip even the swap lock on the fast path via a
 //! per-worker [`ReaderCache`].
+//!
+//! Answers are typed [`Response`]s: the payload is rendered once, and
+//! the envelope (v1 or v2) is written around it at the connection. The
+//! response cache holds them tagged with the generation they answered
+//! for, and serves a hit only while that generation is still current.
 
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 use std::time::Instant;
 
 use crate::cache::ShardedCache;
 use crate::json::Json;
 use crate::metrics::{Endpoint, Metrics};
-use crate::proto::{err_response, negotiate_version, ok_response, Request};
+use crate::proto::{negotiate_version, Request, Response};
 use crate::reader_pool::{ReadGuard, ReaderCache, ReaderPool};
 use crate::snapshot::Snapshot;
 
@@ -65,16 +70,15 @@ impl ServingState {
 #[derive(Debug)]
 pub struct Engine {
     snapshot: ReaderPool<Snapshot>,
-    cache: ShardedCache,
+    /// Cacheable replies keyed by request, each with the generation of
+    /// the snapshot it was computed against.
+    cache: ShardedCache<(u64, Response)>,
     metrics: Metrics,
     state: AtomicU8,
     /// Cost-based plans keyed by normalized query text; entries carry the
     /// generation they were planned against, so a publish invalidates
     /// them lazily on next lookup.
     plans: plt_query::PlanCache,
-    /// Optional shared plt-obs recorder; when attached, query executions
-    /// emit `query.*` counters and `query/execute` spans into it.
-    obs: OnceLock<Arc<Mutex<plt_obs::MetricsRecorder>>>,
 }
 
 impl Engine {
@@ -95,14 +99,7 @@ impl Engine {
             metrics,
             state: AtomicU8::new(ServingState::Fresh.as_u8()),
             plans: plt_query::PlanCache::new(256),
-            obs: OnceLock::new(),
         }
-    }
-
-    /// Attaches a shared plt-obs recorder; query executions then emit
-    /// `query.*` counters and spans into it. First attachment wins.
-    pub fn attach_obs(&self, obs: Arc<Mutex<plt_obs::MetricsRecorder>>) {
-        let _ = self.obs.set(obs);
     }
 
     /// The query-language plan cache (stats and tests).
@@ -135,9 +132,11 @@ impl Engine {
     }
 
     /// Publishes a new snapshot: pointer swap, then cache invalidation
-    /// (cached responses answered for the old generation). In-flight
-    /// requests keep their pinned generation; the old snapshot is freed
-    /// when its last guard releases.
+    /// (cached responses answered for the old generation; one a reader
+    /// puts after the clear is never served, because a hit must match
+    /// the current generation). In-flight requests keep their pinned
+    /// generation; the old snapshot is freed when its last guard
+    /// releases.
     pub fn publish(&self, snapshot: Arc<Snapshot>) {
         let generation = snapshot.generation();
         self.snapshot.swap(snapshot, generation);
@@ -159,12 +158,10 @@ impl Engine {
         self.state() == ServingState::Stale
     }
 
+    /// Cached replies need no invalidation here: `stale` is envelope
+    /// metadata, filled from the current state at serve time.
     fn set_state(&self, state: ServingState) {
-        let prev = self.state.swap(state.as_u8(), Ordering::SeqCst);
-        if prev != state.as_u8() {
-            // Cached responses embed the previous `stale` flag.
-            self.cache.clear();
-        }
+        self.state.store(state.as_u8(), Ordering::SeqCst);
     }
 
     /// Builder hook: a rebuild is starting.
@@ -192,56 +189,57 @@ impl Engine {
         self.cache.clear();
     }
 
-    /// Handles one request, returning the rendered single-line JSON
-    /// response. Read endpoints go through the cache; `stats` and `ping`
-    /// always recompute. `ingest`/`shutdown` are handled by the layers
-    /// above (builder/server) — here they only get an acknowledgement.
+    /// Handles one request, returning its single-line v1 (flat) JSON
+    /// rendering. See [`respond`](Self::respond).
     pub fn handle(&self, request: &Request) -> String {
-        self.handle_inner(request, None)
+        self.respond(request, None).render(1)
     }
 
-    /// Like [`handle`](Self::handle), but pinning the snapshot through a
-    /// per-worker [`ReaderCache`] — the reactor's lock-free fast path.
-    pub fn handle_cached(&self, request: &Request, reader: &mut ReaderCache<Snapshot>) -> String {
-        self.handle_inner(request, Some(reader))
-    }
-
-    fn handle_inner(
+    /// Handles one request. Read endpoints go through the response cache;
+    /// `stats` and `ping` always recompute. `ingest`/`shutdown` are
+    /// handled by the layers above (builder/server) — here they only get
+    /// an acknowledgement. `reader`, when given, pins the snapshot
+    /// through a per-worker [`ReaderCache`] — the reactor's lock-free
+    /// fast path.
+    pub fn respond(
         &self,
         request: &Request,
         reader: Option<&mut ReaderCache<Snapshot>>,
-    ) -> String {
+    ) -> Response {
         let start = Instant::now();
-        let endpoint = endpoint_of(request);
-        if let Some(e) = endpoint_cacheable(request) {
-            let key = request.cache_key();
-            if let Some(hit) = self.cache.get(&key) {
-                self.metrics.endpoint(e).record(start.elapsed(), Some(true));
-                // A cached `query` payload froze the provenance of its
-                // original (fresh) run; flip `cache_hit` so `--explain`
-                // reports this serve truthfully while keeping the frozen
-                // plan/cost (the cache is generation-scoped, so the plan
-                // is still the one that would be chosen).
-                if matches!(e, Endpoint::Query) {
-                    return mark_response_cache_hit(hit);
-                }
-                return hit;
+        let Some(e) = endpoint_cacheable(request) else {
+            let response = self.answer(request, reader).1;
+            if let Some(e) = endpoint_of(request) {
+                self.metrics.endpoint(e).record(start.elapsed(), None);
             }
-            let response = self.answer(request, reader).to_string();
-            self.cache.put(key, response.clone());
-            self.metrics
-                .endpoint(e)
-                .record(start.elapsed(), Some(false));
             return response;
+        };
+        let key = request.cache_key();
+        let current = self.snapshot.generation();
+        if let Some((_, mut hit)) = self.cache.get(&key).filter(|(g, _)| *g == current) {
+            // A cached `query` reply keeps the plan and cost of its
+            // original run (still the plan that would be chosen: the
+            // entry is for this generation) but reports this serve as
+            // the cache hit it is.
+            hit.cache_hit = hit.cache_hit.map(|_| true);
+            hit.stale = hit.stale.map(|_| self.is_stale());
+            self.metrics.endpoint(e).record(start.elapsed(), Some(true));
+            return hit;
         }
-        let response = self.answer(request, reader).to_string();
-        if let Some(e) = endpoint {
-            self.metrics.endpoint(e).record(start.elapsed(), None);
-        }
+        let (generation, response) = self.answer(request, reader);
+        self.cache.put(key, (generation, response.clone()));
+        self.metrics
+            .endpoint(e)
+            .record(start.elapsed(), Some(false));
         response
     }
 
-    fn answer(&self, request: &Request, reader: Option<&mut ReaderCache<Snapshot>>) -> Json {
+    /// Computes a reply and the generation it was answered against.
+    fn answer(
+        &self,
+        request: &Request,
+        reader: Option<&mut ReaderCache<Snapshot>>,
+    ) -> (u64, Response) {
         // Pin one generation for the whole request: every field of the
         // response comes from the same snapshot even if a publish lands
         // mid-answer.
@@ -253,16 +251,16 @@ impl Engine {
         // generation is known-stale (last rebuild failed), so clients can
         // tell degraded answers from fresh ones.
         let stale = self.is_stale();
-        match request {
+        let generation = snap.generation();
+        let response = match request {
             Request::Support { items } => {
                 let a = snap.support(items);
-                ok_response(vec![
+                Response::ok(&[
                     ("support", Json::from(a.support)),
                     ("frequent", Json::Bool(a.frequent)),
                     ("source", Json::str(a.source.as_str())),
-                    ("generation", Json::from(snap.generation())),
-                    ("stale", Json::Bool(stale)),
                 ])
+                .at(generation, stale)
             }
             Request::TopK { k, min_size } => {
                 let rows = snap
@@ -284,11 +282,7 @@ impl Engine {
                         ])
                     })
                     .collect();
-                ok_response(vec![
-                    ("itemsets", Json::Arr(rows)),
-                    ("generation", Json::from(snap.generation())),
-                    ("stale", Json::Bool(stale)),
-                ])
+                Response::ok(&[("itemsets", Json::Arr(rows))]).at(generation, stale)
             }
             Request::Extensions { items, k } => {
                 let rows = snap
@@ -301,11 +295,7 @@ impl Engine {
                         ])
                     })
                     .collect();
-                ok_response(vec![
-                    ("extensions", Json::Arr(rows)),
-                    ("generation", Json::from(snap.generation())),
-                    ("stale", Json::Bool(stale)),
-                ])
+                Response::ok(&[("extensions", Json::Arr(rows))]).at(generation, stale)
             }
             Request::Recommend { items, k } => {
                 let rows = snap
@@ -330,48 +320,35 @@ impl Engine {
                         ])
                     })
                     .collect();
-                ok_response(vec![
-                    ("recommendations", Json::Arr(rows)),
-                    ("generation", Json::from(snap.generation())),
-                    ("stale", Json::Bool(stale)),
-                ])
+                Response::ok(&[("recommendations", Json::Arr(rows))]).at(generation, stale)
             }
             Request::Query { expr } => {
-                let result = match self.obs.get() {
-                    Some(shared) => {
-                        let mut recorder = shared.lock().unwrap();
-                        let mut obs = plt_obs::Obs::new(&mut *recorder);
-                        plt_query::run_cached(expr, &*snap, &self.plans, &mut obs)
-                    }
-                    None => {
-                        let mut obs = plt_obs::Obs::none();
-                        plt_query::run_cached(expr, &*snap, &self.plans, &mut obs)
-                    }
-                };
+                let result =
+                    plt_query::run_cached(expr, &*snap, &self.plans, &mut plt_obs::Obs::none());
                 match result {
                     Ok((rows, prov)) => {
                         self.metrics.query.record(Some(prov.plan.op));
                         if prov.approx_requested {
                             self.metrics.query.record_approx(prov.approx);
                         }
-                        ok_response(vec![
-                            ("row_kind", Json::str(rows.kind())),
-                            ("rows", rows_json(&rows)),
-                            ("plan", Json::str(prov.plan.op.as_str())),
-                            ("cost", Json::from(prov.plan.cost)),
-                            ("cache_hit", Json::Bool(prov.cache_hit)),
-                            ("approx", Json::Bool(prov.approx)),
-                            (
-                                "error_bound",
+                        Response {
+                            cache_hit: Some(prov.cache_hit),
+                            approx: Some(prov.approx),
+                            error_bound: Some(
                                 prov.error_bound.map(Json::from).unwrap_or(Json::Null),
                             ),
-                            ("generation", Json::from(snap.generation())),
-                            ("stale", Json::Bool(stale)),
-                        ])
+                            ..Response::ok(&[
+                                ("row_kind", Json::str(rows.kind())),
+                                ("rows", rows_json(&rows)),
+                                ("plan", Json::str(prov.plan.op.as_str())),
+                                ("cost", Json::from(prov.plan.cost)),
+                            ])
+                            .at(generation, stale)
+                        }
                     }
                     Err(e) => {
                         self.metrics.query.record(None);
-                        err_response(e.to_string())
+                        Response::err(e.to_string())
                     }
                 }
             }
@@ -391,9 +368,7 @@ impl Engine {
                         ])
                     })
                     .collect();
-                ok_response(vec![
-                    ("generation", Json::from(snap.generation())),
-                    ("stale", Json::Bool(stale)),
+                Response::ok(&[
                     ("state", Json::str(self.state().as_str())),
                     (
                         "publishes",
@@ -579,24 +554,21 @@ impl Engine {
                         }
                     }),
                 ])
+                .at(generation, stale)
             }
-            Request::Hello { version } => ok_response(vec![
-                ("version", Json::from(negotiate_version(*version))),
-                ("generation", Json::from(snap.generation())),
-                ("stale", Json::Bool(stale)),
-            ]),
-            Request::Ping => ok_response(vec![
-                ("pong", Json::Bool(true)),
-                ("generation", Json::from(snap.generation())),
-                ("stale", Json::Bool(stale)),
-            ]),
+            Request::Hello { version } => {
+                Response::ok(&[("version", Json::from(negotiate_version(*version)))])
+                    .at(generation, stale)
+            }
+            Request::Ping => Response::ok(&[("pong", Json::Bool(true))]).at(generation, stale),
             Request::Ingest { .. } => {
                 // Reached only when no builder is attached (e.g. a
                 // static snapshot served from a file).
-                err_response("this server has no ingest pipeline")
+                Response::err("this server has no ingest pipeline")
             }
-            Request::Shutdown => ok_response(vec![("stopping", Json::Bool(true))]),
-        }
+            Request::Shutdown => Response::ok(&[("stopping", Json::Bool(true))]),
+        };
+        (generation, response)
     }
 }
 
@@ -616,21 +588,6 @@ fn endpoint_of(request: &Request) -> Option<Endpoint> {
 
 /// Which endpoint, if the request's response may be cached. Cacheable ⇔
 /// a pure function of (generation, request).
-/// Rewrites `cache_hit` to `true` in a cached `query` payload.
-fn mark_response_cache_hit(payload: String) -> String {
-    match Json::parse(&payload) {
-        Ok(Json::Obj(mut pairs)) => {
-            for (key, value) in &mut pairs {
-                if key == "cache_hit" {
-                    *value = Json::Bool(true);
-                }
-            }
-            Json::Obj(pairs).to_string()
-        }
-        _ => payload,
-    }
-}
-
 fn endpoint_cacheable(request: &Request) -> Option<Endpoint> {
     match request {
         Request::Support { .. } => Some(Endpoint::Support),
@@ -762,6 +719,32 @@ mod tests {
         // Old answer (support of item 1 = 5) must not leak from cache.
         assert_eq!(v.get("support").unwrap().as_u64(), Some(0));
         assert_eq!(engine.metrics().generation.load(Ordering::Relaxed), 2);
+    }
+
+    #[test]
+    fn a_reply_cached_after_a_publish_is_not_served_for_the_new_generation() {
+        // The race, played deterministically: a reader pins generation 1
+        // and computes; a publish swaps in generation 2 and clears the
+        // cache; only then does the reader's put land.
+        let engine = engine();
+        let req = Request::Support { items: vec![1] };
+        let late = engine.answer(&req, None);
+        let db = vec![vec![7, 8], vec![7, 8], vec![7, 9]];
+        let plt = construct(&db, 2, ConstructOptions::conditional()).unwrap();
+        let result = ConditionalMiner::default().mine(&db, 2);
+        engine.publish(Arc::new(Snapshot::build(
+            2,
+            plt,
+            &result,
+            RuleConfig::default(),
+        )));
+        engine.cache.put(req.cache_key(), late);
+
+        let v = Json::parse(&engine.handle(&req)).unwrap();
+        assert_eq!(v.get("generation").unwrap().as_u64(), Some(2));
+        assert_eq!(v.get("support").unwrap().as_u64(), Some(0));
+        let stats = engine.metrics().endpoint(Endpoint::Support);
+        assert_eq!(stats.cache_hits.load(Ordering::Relaxed), 0);
     }
 
     #[test]

@@ -129,6 +129,15 @@ impl fmt::Display for Json {
     }
 }
 
+/// Renders object members without the enclosing braces
+/// (`"a":1,"b":[2]`), compact like [`Display`](fmt::Display): the body
+/// a [`Response`](crate::proto::Response) wraps in either envelope.
+pub(crate) fn render_members(pairs: &[(&str, Json)]) -> String {
+    let mut out = String::new();
+    write_members(pairs, &mut out);
+    out
+}
+
 /// A parse error with byte offset and message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError {
@@ -169,16 +178,20 @@ fn write_value(v: &Json, out: &mut String) {
         }
         Json::Obj(pairs) => {
             out.push('{');
-            for (i, (k, val)) in pairs.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_string(k, out);
-                out.push(':');
-                write_value(val, out);
-            }
+            write_members(pairs, out);
             out.push('}');
         }
+    }
+}
+
+fn write_members<K: AsRef<str>>(pairs: &[(K, Json)], out: &mut String) {
+    for (i, (k, val)) in pairs.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_string(k.as_ref(), out);
+        out.push(':');
+        write_value(val, out);
     }
 }
 

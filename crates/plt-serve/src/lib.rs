@@ -16,8 +16,9 @@
 //!   [`SupportOracle`](plt_core::SupportOracle).
 //! * [`engine`] — the concurrency shell: `RwLock<Arc<Snapshot>>` held
 //!   only for an `Arc` clone per query (readers never wait on mining),
-//!   a sharded LRU [`cache`] of rendered responses, per-endpoint
-//!   [`metrics`] with p50/p99 latency.
+//!   a sharded LRU [`cache`] of typed responses (payload rendered once;
+//!   the v1 or v2 envelope is written around it per connection),
+//!   per-endpoint [`metrics`] with p50/p99 latency.
 //! * [`builder`] — a background thread folding `INGEST` batches into a
 //!   [`ShardedPipeline`](plt_shard::ShardedPipeline): only the rank-range
 //!   shards a batch touches are re-mined before a fresh snapshot is

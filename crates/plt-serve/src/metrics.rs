@@ -255,22 +255,22 @@ impl QueryStats {
 /// Counters for the epoll reactor, following the [`StorageMetrics`]
 /// enabled-flag pattern: `enabled` flips to 1 when a reactor starts, so
 /// `stats` omits the block under the non-Linux blocking fallback.
-/// Reactor threads accumulate locally and flush here in batches — these
-/// are cheap to read but a beat behind the poll loop.
+/// Reactor threads update these atomics directly; they are what the
+/// `reactor` block of `stats` reports.
 #[derive(Debug, Default)]
 pub struct ReactorMetrics {
     pub enabled: AtomicU64,
     /// Reactor threads running (gauge).
     pub reactors: AtomicU64,
-    /// epoll events handled (`reactor.events`).
+    /// epoll events handled.
     pub events: AtomicU64,
-    /// Connection state-machine transitions (`conn.state_transitions`).
+    /// Connection state-machine transitions.
     pub state_transitions: AtomicU64,
     /// Connections accepted and dispatched to a reactor.
     pub accepted: AtomicU64,
     /// Connections currently registered across all reactors (gauge).
     pub active_connections: AtomicU64,
-    /// Connections refused with a `shed` response (`shed.count`) —
+    /// Connections refused with a `shed` response —
     /// reactor budget or accept backlog full. Also counted into
     /// [`Metrics::rejected_connections`], the refusal counter the
     /// blocking fallback shares.

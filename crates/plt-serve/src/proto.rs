@@ -14,12 +14,15 @@
 //! when `ok` is false). The full request/response vocabulary is
 //! documented in the workspace README's *Serving* section.
 
+use std::fmt::Write as _;
 use std::io::{BufRead, Write};
+use std::sync::Arc;
 
 use plt_core::item::Item;
 
-use crate::fault::{FaultPlan, FrameFault, Site};
-use crate::json::Json;
+use crate::decode::encode_frame_with;
+use crate::fault::{FaultPlan, Site};
+use crate::json::{render_members, Json};
 
 /// Frames larger than this are rejected before allocation. Generous for
 /// protocol traffic (an ingest batch of thousands of transactions fits).
@@ -217,19 +220,109 @@ impl Request {
     }
 }
 
-/// Builds a success response envelope around payload fields.
-pub fn ok_response(mut fields: Vec<(&str, Json)>) -> Json {
-    let mut pairs = vec![("ok", Json::Bool(true))];
-    pairs.append(&mut fields);
-    Json::obj(pairs)
+/// One reply, rendered once. `body` holds the op's payload members
+/// (`"support":3,"frequent":true`, no braces), serialized when the
+/// answer is computed and never again; the other fields are envelope
+/// metadata that [`render`](Self::render) places per version, so a
+/// cached body serves both envelopes and a `cache_hit` flip or a fresh
+/// `stale` flag never touches its bytes.
+#[derive(Debug, Clone)]
+pub struct Response {
+    pub(crate) ok: bool,
+    pub(crate) body: Arc<str>,
+    /// Query provenance: whether the plan came from the plan cache, or
+    /// the reply from the response cache.
+    pub(crate) cache_hit: Option<bool>,
+    pub(crate) approx: Option<bool>,
+    pub(crate) error_bound: Option<Json>,
+    /// The snapshot generation the answer was computed against.
+    pub(crate) generation: Option<u64>,
+    pub(crate) stale: Option<bool>,
 }
 
-/// Builds an error response.
-pub fn err_response(message: impl Into<String>) -> Json {
-    Json::obj(vec![
-        ("ok", Json::Bool(false)),
-        ("error", Json::Str(message.into())),
-    ])
+impl Response {
+    /// A success reply carrying `fields` as its body.
+    pub(crate) fn ok(fields: &[(&str, Json)]) -> Response {
+        Response {
+            ok: true,
+            body: render_members(fields).into(),
+            cache_hit: None,
+            approx: None,
+            error_bound: None,
+            generation: None,
+            stale: None,
+        }
+    }
+
+    /// An error reply (`"error": message`).
+    pub(crate) fn err(message: impl Into<String>) -> Response {
+        Response {
+            ok: false,
+            ..Response::ok(&[("error", Json::Str(message.into()))])
+        }
+    }
+
+    /// Stamps the generation the reply answers for and its staleness.
+    pub(crate) fn at(self, generation: u64, stale: bool) -> Response {
+        Response {
+            generation: Some(generation),
+            stale: Some(stale),
+            ..self
+        }
+    }
+
+    /// The reply in envelope `version`. v1 is flat: `ok`, the body, then
+    /// each metadata field that is set. v2 hoists the serving-state
+    /// fields (defaulted when unset) and nests the body, plus
+    /// `cache_hit`, under `data` — byte for byte what [`to_v2`] makes of
+    /// the v1 rendering.
+    pub fn render(&self, version: u64) -> String {
+        // Writing into a `String` cannot fail.
+        let mut out = String::with_capacity(self.body.len() + 112);
+        if version >= 2 {
+            let _ = write!(
+                out,
+                r#"{{"v":2,"status":"{}","stale":{},"approx":{},"error_bound":{},"generation":"#,
+                if self.ok { "ok" } else { "error" },
+                self.stale.unwrap_or(false),
+                self.approx.unwrap_or(false),
+                self.error_bound.as_ref().unwrap_or(&Json::Null),
+            );
+            let _ = match self.generation {
+                Some(generation) => write!(out, "{generation}"),
+                None => write!(out, "null"),
+            };
+            let _ = write!(out, r#","data":{{{}"#, self.body);
+            self.push_cache_hit(&mut out, !self.body.is_empty());
+            out.push_str("}}");
+            return out;
+        }
+        let _ = write!(out, r#"{{"ok":{}"#, self.ok);
+        if !self.body.is_empty() {
+            let _ = write!(out, ",{}", self.body);
+        }
+        self.push_cache_hit(&mut out, true);
+        if let Some(approx) = self.approx {
+            let _ = write!(out, r#","approx":{approx}"#);
+        }
+        if let Some(bound) = &self.error_bound {
+            let _ = write!(out, r#","error_bound":{bound}"#);
+        }
+        if let Some(generation) = self.generation {
+            let _ = write!(out, r#","generation":{generation}"#);
+        }
+        if let Some(stale) = self.stale {
+            let _ = write!(out, r#","stale":{stale}"#);
+        }
+        out.push('}');
+        out
+    }
+
+    fn push_cache_hit(&self, out: &mut String, comma: bool) {
+        if let Some(hit) = self.cache_hit {
+            let _ = write!(out, r#"{}"cache_hit":{hit}"#, if comma { "," } else { "" });
+        }
+    }
 }
 
 /// Lifts a flat v1 response into the v2 envelope. The serving-state
@@ -288,19 +381,11 @@ pub fn flatten_v2(v: &Json) -> Option<Json> {
     Some(Json::Obj(pairs))
 }
 
-/// Renders a v1-shaped response in the connection's negotiated envelope.
-pub fn render_response(v1: &Json, version: u64) -> String {
-    if version >= 2 {
-        to_v2(v1).to_string()
-    } else {
-        v1.to_string()
-    }
-}
-
 /// Re-renders an already-serialized v1 payload for the negotiated
-/// envelope. The engine (and its response cache) always speaks v1; the
-/// dispatch layer wraps at the connection boundary so one cached string
-/// serves both versions.
+/// envelope by parsing it and applying [`to_v2`]. The server never does
+/// this — [`Response::render`] writes either envelope directly — but it
+/// is the reference v1→v2 transform that the direct writer is tested
+/// against, usable on any v1 reply string.
 pub fn render_payload(payload: &str, version: u64) -> String {
     if version < 2 {
         return payload.to_string();
@@ -319,40 +404,27 @@ pub fn write_frame(w: &mut impl Write, payload: &str) -> std::io::Result<()> {
     w.flush()
 }
 
-/// Writes one frame, consulting a fault plan first. A torn frame sends a
-/// deterministic prefix of the encoded bytes then fails; an oversized
-/// frame lies in the length header (past [`MAX_FRAME_BYTES`]) then fails.
-/// Either way the caller sees an error and must treat the connection as
-/// dead — exactly what a real half-written frame implies.
+/// Writes one frame, consulting a fault plan first. The bytes are
+/// [`encode_frame_with`]'s: a torn frame sends a deterministic prefix of
+/// the encoding, an oversized one lies in the length header (past
+/// [`MAX_FRAME_BYTES`]). Either way the frame is broken, the caller sees
+/// an error and must treat the connection as dead — exactly what a real
+/// half-written frame implies.
 pub fn write_frame_with(
     w: &mut impl Write,
     payload: &str,
     fault: Option<(&FaultPlan, Site)>,
 ) -> std::io::Result<()> {
-    if let Some((plan, site)) = fault {
-        let encoded = format!("{}\n{}\n", payload.len(), payload);
-        match plan.frame_fault(site, encoded.len()) {
-            Some(FrameFault::Torn { keep }) => {
-                let keep = keep.min(encoded.len().saturating_sub(1));
-                w.write_all(&encoded.as_bytes()[..keep])?;
-                w.flush()?;
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::ConnectionAborted,
-                    "fault injection: torn frame",
-                ));
-            }
-            Some(FrameFault::Oversized) => {
-                write!(w, "{}\n{}\n", MAX_FRAME_BYTES + 1, payload)?;
-                w.flush()?;
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::ConnectionAborted,
-                    "fault injection: oversized frame header",
-                ));
-            }
-            None => {}
-        }
+    let (bytes, broken) = encode_frame_with(payload, fault);
+    w.write_all(&bytes)?;
+    w.flush()?;
+    if broken {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::ConnectionAborted,
+            "fault injection: torn or oversized frame",
+        ));
     }
-    write_frame(w, payload)
+    Ok(())
 }
 
 /// Reads one frame; `Ok(None)` on clean EOF before a frame starts.
@@ -559,7 +631,8 @@ mod tests {
 
     #[test]
     fn v2_envelope_hoists_serving_fields_and_nests_the_rest() {
-        let v1 = ok_response(vec![
+        let v1 = Json::obj(vec![
+            ("ok", Json::Bool(true)),
             ("support", Json::from(7u64)),
             ("generation", Json::from(3u64)),
             ("stale", Json::Bool(true)),
@@ -575,7 +648,10 @@ mod tests {
         assert_eq!(data.get("support").and_then(Json::as_u64), Some(7));
         assert!(data.get("generation").is_none(), "hoisted, not duplicated");
 
-        let err = to_v2(&err_response("boom"));
+        let err = to_v2(&Json::obj(vec![
+            ("ok", Json::Bool(false)),
+            ("error", Json::str("boom")),
+        ]));
         assert_eq!(err.get("status").and_then(Json::as_str), Some("error"));
         assert_eq!(
             err.get("data")
@@ -587,7 +663,8 @@ mod tests {
 
     #[test]
     fn flatten_v2_inverts_the_envelope() {
-        let v1 = ok_response(vec![
+        let v1 = Json::obj(vec![
+            ("ok", Json::Bool(true)),
             ("support", Json::from(7u64)),
             ("approx", Json::Bool(true)),
             ("error_bound", Json::from(12u64)),
@@ -605,7 +682,7 @@ mod tests {
 
     #[test]
     fn render_payload_wraps_only_v2_connections() {
-        let payload = ok_response(vec![("pong", Json::Bool(true))]).to_string();
+        let payload = Response::ok(&[("pong", Json::Bool(true))]).render(1);
         assert_eq!(render_payload(&payload, 1), payload);
         let wrapped = render_payload(&payload, 2);
         let v = Json::parse(&wrapped).unwrap();
@@ -615,6 +692,55 @@ mod tests {
                 .and_then(|d| d.get("pong"))
                 .and_then(Json::as_bool),
             Some(true)
+        );
+    }
+
+    #[test]
+    fn direct_v2_writer_equals_the_reference_transform() {
+        // Every combination of ok, empty or full body, and each metadata
+        // field unset or set: the v1 rendering parses back to its parts,
+        // and the direct v2 rendering equals `render_payload` of the v1.
+        let bodies: [&[(&str, Json)]; 2] = [&[], &[("rows", Json::Arr(vec![Json::from(1u64)]))]];
+        let flags = [None, Some(false), Some(true)];
+        let bounds = [None, Some(Json::Null), Some(Json::from(2.5))];
+        let mut cases = 0;
+        for ok in [true, false] {
+            for body in bodies {
+                for cache_hit in flags {
+                    for approx in flags {
+                        for error_bound in &bounds {
+                            for generation in [None, Some(7)] {
+                                for stale in flags {
+                                    let r = Response {
+                                        ok,
+                                        cache_hit,
+                                        approx,
+                                        error_bound: error_bound.clone(),
+                                        generation,
+                                        stale,
+                                        ..Response::ok(body)
+                                    };
+                                    let v1 = r.render(1);
+                                    let parsed = Json::parse(&v1).expect("v1 is JSON");
+                                    assert_eq!(parsed.get("ok"), Some(&Json::Bool(ok)), "{v1}");
+                                    assert_eq!(
+                                        parsed.get("cache_hit").and_then(Json::as_bool),
+                                        cache_hit,
+                                        "{v1}"
+                                    );
+                                    assert_eq!(r.render(2), render_payload(&v1, 2), "{v1}");
+                                    cases += 1;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(cases, 2 * 2 * 3 * 3 * 3 * 2 * 3);
+        assert_eq!(
+            Response::err("boom").at(4, false).render(1),
+            r#"{"ok":false,"error":"boom","generation":4,"stale":false}"#
         );
     }
 

@@ -37,16 +37,14 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::{AsRawFd, FromRawFd, RawFd};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, Sender, SyncSender, TrySendError};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
-
-use plt_obs::{MetricsRecorder, Recorder};
 
 use crate::builder::IngestQueue;
 use crate::decode::{encode_frame, encode_frame_with, FrameDecoder};
 use crate::engine::Engine;
 use crate::fault::{IoFault, Site};
-use crate::proto::{err_response, render_response};
+use crate::proto::Response;
 use crate::reader_pool::ReaderCache;
 use crate::server::{
     await_flush, dispatch_request, wake_acceptor, Dispatch, ServerConfig, ServerHandle,
@@ -167,11 +165,7 @@ const WAKE_TOKEN: u64 = u64::MAX;
 /// sweeping deadlines.
 const POLL_TIMEOUT: Duration = Duration::from_millis(25);
 
-/// Poll iterations between flushes of the reactor's local plt-obs
-/// recorder into the shared one.
-const OBS_FLUSH_EVERY: u64 = 1024;
-
-/// Connection lifecycle for the `conn.state_transitions` counter.
+/// Connection lifecycle for the `reactor.state_transitions` counter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ConnState {
     /// Waiting for (more of) a request frame.
@@ -190,7 +184,8 @@ struct Conn {
     /// Frames decoded but not yet dispatched (a pipelining client can
     /// land several per read).
     pending: VecDeque<String>,
-    /// A protocol-error frame owed to the peer once `pending` drains.
+    /// A protocol-error frame owed to the peer once `pending` drains,
+    /// rendered in the envelope in force when the error was found.
     pending_error: Option<String>,
     /// Outgoing bytes; `sent` of them are already on the wire.
     out: Vec<u8>,
@@ -215,15 +210,15 @@ struct FlushJob {
     token: usize,
     epoch: u64,
     accepted: u64,
-    /// Envelope version of the submitting connection at dispatch time.
-    version: u64,
 }
 
-/// Completion from the waiter thread.
+/// Completion from the waiter thread. Rendered on the reactor in the
+/// connection's envelope, which cannot change while the flush is in
+/// flight (no frames are dispatched until it completes).
 struct FlushDone {
     token: usize,
     epoch: u64,
-    response: String,
+    response: Response,
 }
 
 /// What one nonblocking write step decided (computed under the `Conn`
@@ -255,7 +250,6 @@ struct Reactor {
     all_wakers: Arc<Vec<Arc<Waker>>>,
     addr: SocketAddr,
     reader: ReaderCache<Snapshot>,
-    obs: MetricsRecorder,
 }
 
 impl Reactor {
@@ -327,7 +321,6 @@ impl Reactor {
             }
         };
         if changed {
-            self.obs.counter("conn.state_transitions", 1);
             self.engine
                 .metrics()
                 .reactor
@@ -342,7 +335,6 @@ impl Reactor {
                 .epoll
                 .ctl(sys::EPOLL_CTL_DEL, conn.stream.as_raw_fd(), 0, 0);
             self.free.push(idx);
-            self.obs.counter("conn.state_transitions", 1);
             let reactor = &self.engine.metrics().reactor;
             reactor.state_transitions.fetch_add(1, Ordering::Relaxed);
             reactor.active_connections.fetch_sub(1, Ordering::Relaxed);
@@ -369,9 +361,17 @@ impl Reactor {
         }
     }
 
-    /// Encodes `payload` (applying any frame fault) onto the
-    /// connection's out-buffer and attempts an immediate flush.
-    fn queue_response(&mut self, idx: usize, payload: &str) {
+    /// Renders `response` in the connection's envelope, encodes it
+    /// (applying any frame fault) onto the out-buffer and attempts an
+    /// immediate flush.
+    fn queue_response(&mut self, idx: usize, response: &Response) {
+        let payload = response.render(self.conn(idx).version);
+        self.queue_frame(idx, &payload);
+    }
+
+    /// Encodes an already-rendered `payload`; see
+    /// [`queue_response`](Self::queue_response).
+    fn queue_frame(&mut self, idx: usize, payload: &str) {
         let fault = self.config.fault.as_deref().map(|p| (p, Site::ServerWrite));
         let (bytes, close_after) = encode_frame_with(payload, fault);
         {
@@ -481,7 +481,7 @@ impl Reactor {
         let conn = self.conn(idx);
         if conn.pending_error.is_none() {
             let version = conn.version;
-            conn.pending_error = Some(render_response(&err_response(message), version));
+            conn.pending_error = Some(Response::err(message).render(version));
         }
     }
 
@@ -514,7 +514,7 @@ impl Reactor {
             match next {
                 Next::Frame(frame) => self.dispatch_one(idx, &frame),
                 Next::Error(error) => {
-                    self.queue_response(idx, &error);
+                    self.queue_frame(idx, &error);
                     return;
                 }
                 Next::Done => return,
@@ -556,15 +556,11 @@ impl Reactor {
                         token: idx,
                         epoch,
                         accepted,
-                        version,
                     })
                     .is_err()
                 {
                     self.transition(idx, ConnState::Writing);
-                    self.queue_response(
-                        idx,
-                        &render_response(&err_response("snapshot builder has exited"), version),
-                    );
+                    self.queue_response(idx, &Response::err("snapshot builder has exited"));
                 }
             }
         }
@@ -708,9 +704,8 @@ impl Reactor {
         }
     }
 
-    fn run(mut self, shared_obs: Option<Arc<Mutex<MetricsRecorder>>>) {
+    fn run(mut self) {
         let mut events = vec![sys::EpollEvent { events: 0, data: 0 }; 512];
-        let mut polls: u64 = 0;
         {
             let r = &self.engine.metrics().reactor;
             r.mark_enabled();
@@ -738,18 +733,11 @@ impl Reactor {
                     self.handle_event(data, revents);
                 }
             }
-            polls += 1;
             self.sweep_deadlines();
             if handled > 0 {
-                let elapsed = handle_start.elapsed();
-                self.obs.counter("reactor.events", handled);
-                self.obs.span("reactor/poll", elapsed.as_nanos() as u64);
                 let r = &self.engine.metrics().reactor;
                 r.events.fetch_add(handled, Ordering::Relaxed);
-                r.poll.record(elapsed, None);
-            }
-            if polls.is_multiple_of(OBS_FLUSH_EVERY) {
-                self.flush_obs(&shared_obs);
+                r.poll.record(handle_start.elapsed(), None);
             }
         }
         // Unwind: every registered connection, plus any accepted sockets
@@ -759,16 +747,6 @@ impl Reactor {
         }
         while self.conn_rx.try_recv().is_ok() {
             self.release_refused();
-        }
-        self.flush_obs(&shared_obs);
-    }
-
-    fn flush_obs(&mut self, shared: &Option<Arc<Mutex<MetricsRecorder>>>) {
-        if let Some(shared) = shared {
-            if !self.obs.is_empty() {
-                shared.lock().unwrap().merge(&self.obs);
-                self.obs = MetricsRecorder::new();
-            }
         }
     }
 }
@@ -783,7 +761,7 @@ fn waiter_loop(
     waker: Arc<Waker>,
 ) {
     while let Ok(job) = jobs.recv() {
-        let response = await_flush(&engine, ingest.as_ref(), job.accepted, job.version);
+        let response = await_flush(&engine, ingest.as_ref(), job.accepted);
         if done
             .send(FlushDone {
                 token: job.token,
@@ -807,10 +785,8 @@ fn acceptor_loop(
     queues: Vec<SyncSender<TcpStream>>,
     wakers: Arc<Vec<Arc<Waker>>>,
     config: ServerConfig,
-    shared_obs: Option<Arc<Mutex<MetricsRecorder>>>,
 ) {
     let mut next = 0usize;
-    let mut obs = MetricsRecorder::new();
     loop {
         if stop.load(Ordering::SeqCst) {
             break;
@@ -826,12 +802,7 @@ fn acceptor_loop(
         if reactor_metrics.active_connections.load(Ordering::Relaxed)
             >= config.max_connections as u64
         {
-            shed(
-                &engine,
-                &mut obs,
-                stream,
-                "shed: server at connection capacity",
-            );
+            shed(&engine, stream, "shed: server at connection capacity");
             continue;
         }
         // Optimistically count the connection; a reactor that fails to
@@ -858,27 +829,21 @@ fn acceptor_loop(
             reactor_metrics
                 .active_connections
                 .fetch_sub(1, Ordering::Relaxed);
-            shed(&engine, &mut obs, stream, "shed: accept backlog full");
-        }
-    }
-    if let Some(shared) = shared_obs {
-        if !obs.is_empty() {
-            shared.lock().unwrap().merge(&obs);
+            shed(&engine, stream, "shed: accept backlog full");
         }
     }
 }
 
 /// Refuses a connection with an explicit shed frame (bounded write so a
-/// hostile peer cannot pin the acceptor) and counts it everywhere the
-/// operators look: `shed.count` (obs), `reactor.shed_connections`, and
-/// the model-agnostic `rejected_connections`.
-fn shed(engine: &Engine, obs: &mut MetricsRecorder, mut stream: TcpStream, reason: &str) {
-    obs.counter("shed.count", 1);
+/// hostile peer cannot pin the acceptor; shed frames are always v1) and
+/// counts it everywhere the operators look: `reactor.shed_connections`
+/// and `rejected_connections`.
+fn shed(engine: &Engine, mut stream: TcpStream, reason: &str) {
     let m = engine.metrics();
     m.rejected_connections.fetch_add(1, Ordering::Relaxed);
     m.reactor.shed_connections.fetch_add(1, Ordering::Relaxed);
     let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
-    let frame = encode_frame(&err_response(reason).to_string());
+    let frame = encode_frame(&Response::err(reason).render(1));
     let _ = stream.write_all(&frame);
     let _ = stream.flush();
 }
@@ -941,13 +906,11 @@ pub(crate) fn serve_reactor(
             all_wakers: wakers.clone(),
             addr,
             reader: ReaderCache::new(),
-            obs: MetricsRecorder::new(),
         };
-        let shared_obs = config.obs.clone();
         threads.push(
             std::thread::Builder::new()
                 .name(format!("plt-serve-reactor-{}", reactor.id))
-                .spawn(move || reactor.run(shared_obs))?,
+                .spawn(move || reactor.run())?,
         );
     }
 
@@ -959,8 +922,7 @@ pub(crate) fn serve_reactor(
                 let stop = stop.clone();
                 let wakers = wakers.clone();
                 let config = config.clone();
-                let shared_obs = config.obs.clone();
-                move || acceptor_loop(listener, engine, stop, queues, wakers, config, shared_obs)
+                move || acceptor_loop(listener, engine, stop, queues, wakers, config)
             })?,
     );
 

@@ -17,7 +17,7 @@
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -25,10 +25,7 @@ use crate::builder::IngestQueue;
 use crate::engine::Engine;
 use crate::fault::FaultPlan;
 use crate::json::Json;
-use crate::proto::{
-    err_response, negotiate_version, ok_response, render_payload, render_response, Request,
-    MAX_FRAME_BYTES,
-};
+use crate::proto::{negotiate_version, Request, Response, MAX_FRAME_BYTES};
 use crate::reader_pool::ReaderCache;
 use crate::snapshot::Snapshot;
 
@@ -56,9 +53,6 @@ pub struct ServerConfig {
     /// Deterministic fault injection for the server's own I/O. `None` in
     /// production.
     pub fault: Option<Arc<FaultPlan>>,
-    /// Shared plt-obs recorder: query executions emit `query.*` counters
-    /// into it and reactor threads merge their span/counter batches.
-    pub obs: Option<Arc<Mutex<plt_obs::MetricsRecorder>>>,
 }
 
 impl Default for ServerConfig {
@@ -74,7 +68,6 @@ impl Default for ServerConfig {
             max_frame: MAX_FRAME_BYTES,
             max_connections: 1024,
             fault: None,
-            obs: None,
         }
     }
 }
@@ -150,9 +143,6 @@ pub fn serve(
 ) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(addr)?;
     let addr = listener.local_addr()?;
-    if let Some(obs) = &config.obs {
-        engine.attach_obs(obs.clone());
-    }
     #[cfg(target_os = "linux")]
     return crate::reactor::serve_reactor(listener, engine, ingest, config, addr);
     #[cfg(not(target_os = "linux"))]
@@ -164,9 +154,9 @@ pub fn serve(
 /// cannot drift.
 pub(crate) enum Dispatch {
     /// Write this response and keep serving.
-    Respond(String),
+    Respond(Response),
     /// Write this response, then stop the whole server.
-    ShutdownRequested(String),
+    ShutdownRequested(Response),
     /// An `ingest {wait: true}` was submitted; run the blocking
     /// [`await_flush`] (on a waiter thread for the reactor, inline for
     /// the fallback) and answer with its reply.
@@ -174,12 +164,11 @@ pub(crate) enum Dispatch {
 }
 
 /// Parses and dispatches one request payload. Everything except the
-/// flush wait and the stop-flag plumbing happens here. `reader`, when given, pins snapshots through a
-/// per-worker cache (the reactor's lock-free path). `version` is the
-/// connection's negotiated envelope version: a `hello` updates it, and
-/// every response is rendered through it — the engine (and its response
-/// cache) always produces the flat v1 shape, so one cached payload
-/// serves both versions.
+/// flush wait and the stop-flag plumbing happens here. `reader`, when
+/// given, pins snapshots through a per-worker cache (the reactor's
+/// lock-free path). `version` is the connection's negotiated envelope
+/// version, which a `hello` updates; the caller renders the returned
+/// [`Response`] in it.
 pub(crate) fn dispatch_request(
     payload: &str,
     engine: &Engine,
@@ -187,89 +176,56 @@ pub(crate) fn dispatch_request(
     reader: Option<&mut ReaderCache<Snapshot>>,
     version: &mut u64,
 ) -> Dispatch {
-    let request = match Json::parse(payload) {
+    let request = match Json::parse(payload)
+        .map_err(|e| e.to_string())
+        .and_then(|v| Request::from_json(&v))
+    {
+        Ok(request) => request,
         Err(e) => {
             engine
                 .metrics()
                 .protocol_errors
                 .fetch_add(1, Ordering::Relaxed);
-            return Dispatch::Respond(render_response(&err_response(e.to_string()), *version));
+            return Dispatch::Respond(Response::err(e));
         }
-        Ok(v) => match Request::from_json(&v) {
-            Err(e) => {
-                engine
-                    .metrics()
-                    .protocol_errors
-                    .fetch_add(1, Ordering::Relaxed);
-                return Dispatch::Respond(render_response(&err_response(e), *version));
-            }
-            Ok(r) => r,
-        },
     };
     match request {
-        Request::Shutdown => Dispatch::ShutdownRequested(render_payload(
-            &engine.handle(&Request::Shutdown),
-            *version,
-        )),
+        Request::Shutdown => Dispatch::ShutdownRequested(engine.respond(&request, reader)),
         Request::Hello { version: requested } => {
             // Negotiate first: the acknowledgement already arrives in
             // the newly agreed envelope.
             *version = negotiate_version(requested);
-            Dispatch::Respond(render_payload(
-                &engine.handle(&Request::Hello { version: requested }),
-                *version,
-            ))
+            Dispatch::Respond(engine.respond(&request, reader))
         }
         Request::Ingest { transactions, wait } => match ingest {
-            None => Dispatch::Respond(render_response(
-                &err_response("this server has no ingest pipeline"),
-                *version,
-            )),
+            None => Dispatch::Respond(Response::err("this server has no ingest pipeline")),
             Some(queue) => {
                 let accepted = transactions.len() as u64;
                 if !queue.ingest(transactions) {
-                    Dispatch::Respond(render_response(
-                        &err_response("snapshot builder has exited"),
-                        *version,
-                    ))
+                    Dispatch::Respond(Response::err("snapshot builder has exited"))
                 } else if wait {
                     Dispatch::AwaitFlush { accepted }
                 } else {
-                    Dispatch::Respond(render_response(
-                        &ok_response(vec![("accepted", Json::from(accepted))]),
-                        *version,
-                    ))
+                    Dispatch::Respond(Response::ok(&[("accepted", Json::from(accepted))]))
                 }
             }
         },
-        request => Dispatch::Respond(render_payload(
-            &match reader {
-                Some(cache) => engine.handle_cached(&request, cache),
-                None => engine.handle(&request),
-            },
-            *version,
-        )),
+        request => Dispatch::Respond(engine.respond(&request, reader)),
     }
 }
 
-/// Runs the blocking flush behind an `ingest {wait: true}` and renders
-/// its reply: `accepted` plus the published generation.
+/// Runs the blocking flush behind an `ingest {wait: true}`; the reply is
+/// `accepted` plus the published generation.
 pub(crate) fn await_flush(
     engine: &Engine,
     ingest: Option<&IngestQueue>,
     accepted: u64,
-    version: u64,
-) -> String {
+) -> Response {
     match ingest.and_then(|q| q.flush()) {
-        Some(generation) => render_response(
-            &ok_response(vec![
-                ("accepted", Json::from(accepted)),
-                ("generation", Json::from(generation)),
-                ("stale", Json::Bool(engine.is_stale())),
-            ]),
-            version,
-        ),
-        None => render_response(&err_response("snapshot builder has exited"), version),
+        Some(generation) => {
+            Response::ok(&[("accepted", Json::from(accepted))]).at(generation, engine.is_stale())
+        }
+        None => Response::err("snapshot builder has exited"),
     }
 }
 
@@ -296,9 +252,7 @@ mod blocking {
     use crate::builder::IngestQueue;
     use crate::engine::Engine;
     use crate::fault::{FaultyStream, Site};
-    use crate::proto::{
-        err_response, read_frame_limited, render_response, write_frame, write_frame_with,
-    };
+    use crate::proto::{read_frame_limited, write_frame, write_frame_with, Response};
 
     pub(super) fn serve_blocking(
         listener: TcpListener,
@@ -359,7 +313,7 @@ mod blocking {
                     .fetch_add(1, Ordering::Relaxed);
                 let _ = write_frame(
                     &mut BufWriter::new(stream),
-                    &err_response("shed: server at connection capacity").to_string(),
+                    &Response::err("shed: server at connection capacity").render(1),
                 );
                 continue;
             }
@@ -435,7 +389,7 @@ mod blocking {
                         .fetch_add(1, Ordering::Relaxed);
                     let _ = write_frame_with(
                         &mut writer,
-                        &render_response(&err_response(e.to_string()), version),
+                        &Response::err(e.to_string()).render(version),
                         frame_fault,
                     );
                     return false;
@@ -450,12 +404,12 @@ mod blocking {
             let response = match dispatch_request(&payload, engine, ingest, None, &mut version) {
                 Dispatch::Respond(response) => response,
                 Dispatch::ShutdownRequested(response) => {
-                    let _ = write_frame_with(&mut writer, &response, frame_fault);
+                    let _ = write_frame_with(&mut writer, &response.render(version), frame_fault);
                     return true;
                 }
-                Dispatch::AwaitFlush { accepted } => await_flush(engine, ingest, accepted, version),
+                Dispatch::AwaitFlush { accepted } => await_flush(engine, ingest, accepted),
             };
-            if let Err(e) = write_frame_with(&mut writer, &response, frame_fault) {
+            if let Err(e) = write_frame_with(&mut writer, &response.render(version), frame_fault) {
                 if is_timeout(&e) {
                     engine.metrics().timeouts.fetch_add(1, Ordering::Relaxed);
                 }

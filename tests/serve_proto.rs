@@ -2,7 +2,8 @@
 //! incremental [`FrameDecoder`] (reactor path) against the blocking
 //! `read_frame_limited` (client and non-Linux fallback path), over
 //! arbitrary byte streams fed at arbitrary split boundaries. The wire
-//! tests at the end pin the reactor's error frames to goldens.
+//! tests at the end pin the reactor's error and success frames to
+//! goldens.
 //!
 //! The two codecs are independent implementations of the same grammar;
 //! any divergence — a frame decoded by one and not the other, a
@@ -235,15 +236,23 @@ const GOLDEN_REQUEST_ERRORS: [[&str; 3]; 2] = [
 
 /// Starts a one-reactor server over a tiny warmup window.
 fn start_server() -> (plt::serve::ServerHandle, plt::serve::BuilderHandle) {
+    start_server_with(&[vec![1, 2], vec![1, 2], vec![1, 3]], None)
+}
+
+/// [`start_server`] over another warmup, optionally with a sketch.
+fn start_server_with(
+    warmup: &[Vec<u32>],
+    sketch: Option<plt::serve::SketchConfig>,
+) -> (plt::serve::ServerHandle, plt::serve::BuilderHandle) {
     use plt::serve::{bootstrap, serve, BuilderConfig, ServerConfig};
 
-    let warmup = vec![vec![1, 2], vec![1, 2], vec![1, 3]];
     let config = BuilderConfig {
         window_capacity: 64,
         min_support: 2,
+        sketch,
         ..BuilderConfig::default()
     };
-    let (engine, builder) = bootstrap(&warmup, config).expect("bootstrap");
+    let (engine, builder) = bootstrap(warmup, config).expect("bootstrap");
     let handle = serve(
         "127.0.0.1:0",
         engine,
@@ -355,4 +364,96 @@ fn error_frames_match_the_goldens_for_both_envelope_versions() {
     }
     handle.shutdown();
     builder.stop();
+}
+
+/// Requests of the success-frame goldens, in the order they are sent on
+/// one connection. The read requests run twice (the first pass misses
+/// the response cache, the second hits it); the no-wait ingest acks and
+/// the shutdown ack come last, after every read, so the generation a
+/// read reports cannot depend on when a publish lands.
+const SUCCESS_READS: [&str; 12] = [
+    r#"{"op":"support","items":[1,2]}"#,
+    r#"{"op":"support","items":[1,99]}"#,
+    r#"{"op":"top_k","k":3,"min_size":1}"#,
+    r#"{"op":"extensions","items":[1],"k":3}"#,
+    r#"{"op":"recommend","items":[2],"k":3}"#,
+    r#"{"op":"query","expr":"SUPPORT OF {1, 2}"}"#,
+    r#"{"op":"query","expr":"SUPPORT OF {1, 2} APPROX"}"#,
+    r#"{"op":"query","expr":"TOP 3 WHERE support >= 2 AND size >= 1"}"#,
+    // Same normal form, different spelling: a plan-cache hit on a
+    // response-cache miss.
+    r#"{"op":"query","expr":"top 3 where size >= 1 and support >= 2"}"#,
+    r#"{"op":"query","expr":"RULES WHERE confidence >= 0.5 TOP 4"}"#,
+    r#"{"op":"query","expr":"MINE COND {1} TOP 2"}"#,
+    r#"{"op":"ping"}"#,
+];
+
+/// Sends the success transcript for one envelope version and returns
+/// every reply frame: the `hello` ack, both passes over
+/// [`SUCCESS_READS`], two no-wait ingest acks and the shutdown ack.
+fn success_transcript(version: u64) -> Vec<String> {
+    // Every non-empty subset of {1, 2, 3, 4} of size 2 or more, with
+    // {1, 2} twice: small enough to read, and with a sketch at ε = 0.4
+    // the planner answers `SUPPORT OF {1, 2} APPROX` from the sample.
+    let warmup = vec![
+        vec![1, 2],
+        vec![1, 2],
+        vec![1, 3],
+        vec![2, 3],
+        vec![1, 2, 3],
+        vec![1, 4],
+        vec![2, 4],
+        vec![3, 4],
+        vec![1, 2, 4],
+        vec![1, 3, 4],
+        vec![2, 3, 4],
+        vec![1, 2, 3, 4],
+    ];
+    let sketch = plt::serve::SketchConfig {
+        epsilon: 0.4,
+        ..plt::serve::SketchConfig::default()
+    };
+    let (handle, builder) = start_server_with(&warmup, Some(sketch));
+    let mut s = std::net::TcpStream::connect(handle.addr()).expect("connect");
+    s.set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .unwrap();
+    let mut r = std::io::BufReader::new(s.try_clone().expect("clone"));
+    let hello = format!(r#"{{"op":"hello","version":{version}}}"#);
+    let ingest = r#"{"op":"ingest","transactions":[[1,2]],"wait":false}"#;
+    let mut requests = vec![hello.as_str(), hello.as_str()];
+    requests.extend(SUCCESS_READS);
+    requests.extend(SUCCESS_READS);
+    requests.extend([ingest, ingest, r#"{"op":"shutdown"}"#]);
+    let mut replies = Vec::new();
+    for request in requests {
+        write_frame(&mut s, request);
+        replies.push(read_frame(&mut r).unwrap_or_else(|| String::from("<closed>")));
+    }
+    handle.join();
+    builder.stop();
+    replies
+}
+
+/// Success frames for [`success_transcript`], one per line, v1 then v2,
+/// captured from the server while every reply was a v1 string that v2
+/// connections re-parsed. The typed renderer must keep emitting exactly
+/// these bytes.
+const GOLDEN_SUCCESS: [&str; 2] = [
+    include_str!("golden/success_frames_v1.txt"),
+    include_str!("golden/success_frames_v2.txt"),
+];
+
+/// Deterministic wire differential for successful replies: every op the
+/// server answers, per envelope version, on a response-cache miss and
+/// then a hit, byte-identical to the goldens.
+#[test]
+fn success_frames_match_the_goldens_for_both_envelope_versions() {
+    for (version, golden) in [1u64, 2].into_iter().zip(GOLDEN_SUCCESS) {
+        let replies = success_transcript(version);
+        let golden: Vec<&str> = golden.lines().collect();
+        assert_eq!(replies.len(), golden.len(), "v{version}");
+        for (i, (reply, golden)) in replies.iter().zip(golden).enumerate() {
+            assert_eq!(reply, golden, "v{version} reply {i}");
+        }
+    }
 }
