@@ -174,6 +174,15 @@ impl Itemset {
     }
 }
 
+/// Lets hashed and ordered collections keyed by `Itemset` be probed with
+/// a plain sorted slice, with no allocation. Sound because the derived
+/// `Hash`, `Eq` and `Ord` of the newtype are those of its items.
+impl std::borrow::Borrow<[Item]> for Itemset {
+    fn borrow(&self) -> &[Item] {
+        &self.0
+    }
+}
+
 impl From<Vec<Item>> for Itemset {
     fn from(items: Vec<Item>) -> Self {
         Itemset::new(items)

@@ -35,9 +35,16 @@ impl MiningResult {
         );
     }
 
-    /// Support of `items`, if the itemset is frequent.
+    /// Support of `items`, if the itemset is frequent. A strictly
+    /// increasing slice (already an itemset's canonical form) is looked
+    /// up by borrow, without allocating; any other slice is sorted and
+    /// deduplicated into an [`Itemset`] first.
     pub fn support(&self, items: &[Item]) -> Option<Support> {
-        self.supports.get(&Itemset::from(items)).copied()
+        if items.windows(2).all(|w| w[0] < w[1]) {
+            self.supports.get(items).copied()
+        } else {
+            self.supports.get(&Itemset::from(items)).copied()
+        }
     }
 
     /// True if the itemset is in the frequent set.

@@ -18,7 +18,7 @@ pub mod nonredundant;
 
 pub use nonredundant::{confidence_improvement, productive_rules};
 
-use plt_core::item::{Itemset, Support};
+use plt_core::item::{Item, Itemset, Support};
 use plt_core::miner::MiningResult;
 
 /// An association rule `antecedent → consequent`.
@@ -117,13 +117,23 @@ pub fn rules_for_itemset(
     if itemset.len() < 2 {
         return rules;
     }
+    // One antecedent buffer for every split; a rule allocates only when
+    // it is accepted.
+    let mut antecedent = Vec::with_capacity(itemset.len());
     // Level 1: single-item consequents.
     let mut consequents: Vec<Itemset> = Vec::new();
     for &item in itemset.items() {
-        let consequent = Itemset::from_sorted(vec![item]);
-        if let Some(rule) = try_rule(itemset, &consequent, support, result, config, n) {
+        if let Some(rule) = try_rule(
+            itemset,
+            &[item],
+            &mut antecedent,
+            support,
+            result,
+            config,
+            n,
+        ) {
+            consequents.push(rule.consequent.clone());
             rules.push(rule);
-            consequents.push(consequent);
         }
     }
     // Levels 2..: grow consequents apriori-style from the survivors.
@@ -132,7 +142,16 @@ pub fn rules_for_itemset(
         let candidates = join_consequents(&consequents);
         consequents.clear();
         for consequent in candidates {
-            if let Some(rule) = try_rule(itemset, &consequent, support, result, config, n) {
+            let rule = try_rule(
+                itemset,
+                consequent.items(),
+                &mut antecedent,
+                support,
+                result,
+                config,
+                n,
+            );
+            if let Some(rule) = rule {
                 rules.push(rule);
                 consequents.push(consequent);
             }
@@ -143,26 +162,35 @@ pub fn rules_for_itemset(
 }
 
 /// Builds the rule `itemset \ consequent → consequent` if it passes the
-/// confidence threshold.
+/// confidence threshold. The antecedent is written into the scratch
+/// buffer `antecedent`, so the subset-support lookups borrow it and a
+/// rejected split allocates nothing.
 fn try_rule(
     itemset: &Itemset,
-    consequent: &Itemset,
+    consequent: &[Item],
+    antecedent: &mut Vec<Item>,
     support: Support,
     result: &MiningResult,
     config: RuleConfig,
     n: f64,
 ) -> Option<Rule> {
-    let antecedent = itemset.difference(consequent);
+    antecedent.clear();
+    antecedent.extend(
+        itemset
+            .items()
+            .iter()
+            .filter(|item| consequent.binary_search(item).is_err()),
+    );
     debug_assert!(!antecedent.is_empty() && !consequent.is_empty());
     let sup_x = result
-        .support(antecedent.items())
+        .support(antecedent)
         .expect("mining results are subset-closed");
     let confidence = support as f64 / sup_x as f64;
     if confidence < config.min_confidence {
         return None;
     }
     let sup_y = result
-        .support(consequent.items())
+        .support(consequent)
         .expect("mining results are subset-closed");
     let p_y = sup_y as f64 / n;
     let lift = confidence / p_y;
@@ -173,8 +201,8 @@ fn try_rule(
         (1.0 - p_y) / (1.0 - confidence)
     };
     Some(Rule {
-        antecedent,
-        consequent: consequent.clone(),
+        antecedent: Itemset::from_sorted(antecedent.clone()),
+        consequent: Itemset::from_sorted(consequent.to_vec()),
         support,
         confidence,
         lift,
@@ -209,10 +237,7 @@ pub fn sort_rules(rules: &mut [Rule]) {
             .total_cmp(&a.confidence)
             .then(b.lift.total_cmp(&a.lift))
             .then(b.support.cmp(&a.support))
-            .then_with(|| {
-                (a.antecedent.clone(), a.consequent.clone())
-                    .cmp(&(b.antecedent.clone(), b.consequent.clone()))
-            })
+            .then_with(|| (&a.antecedent, &a.consequent).cmp(&(&b.antecedent, &b.consequent)))
     });
 }
 
@@ -334,7 +359,10 @@ mod tests {
                     continue;
                 }
                 let n = result.num_transactions() as f64;
-                if let Some(rule) = try_rule(z, &consequent, support, &result, config, n) {
+                let mut antecedent = Vec::new();
+                let items = consequent.items();
+                if let Some(rule) = try_rule(z, items, &mut antecedent, support, &result, config, n)
+                {
                     slow.push(rule);
                 }
             }
@@ -417,5 +445,57 @@ mod tests {
         let text = rules[0].to_string();
         assert!(text.contains("=>"));
         assert!(text.contains("conf="));
+    }
+
+    /// The comparator `sort_rules` used before it compared the tie-break
+    /// itemsets by reference: it cloned both pairs on every tie.
+    fn cloning_comparator(a: &Rule, b: &Rule) -> std::cmp::Ordering {
+        b.confidence
+            .total_cmp(&a.confidence)
+            .then(b.lift.total_cmp(&a.lift))
+            .then(b.support.cmp(&a.support))
+            .then_with(|| {
+                (a.antecedent.clone(), a.consequent.clone())
+                    .cmp(&(b.antecedent.clone(), b.consequent.clone()))
+            })
+    }
+
+    /// A rule drawn from a small space, so confidence, lift and support
+    /// tie often and the itemset tie-break decides. `metrics` packs three
+    /// base-3 digits (the vendored proptest has no 5-tuples).
+    fn drawn_rule((metrics, x, y): (u8, Vec<u8>, Vec<u8>)) -> Rule {
+        let set = |items: Vec<u8>| Itemset::new(items.into_iter().map(Item::from).collect());
+        Rule {
+            antecedent: set(x),
+            consequent: set(y),
+            support: Support::from(metrics / 9),
+            confidence: f64::from(metrics % 3) / 4.0,
+            lift: f64::from(metrics / 3 % 3) / 2.0,
+            leverage: 0.0,
+            conviction: f64::INFINITY,
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn prop_sort_matches_the_cloning_comparator(
+            raw in proptest::collection::vec(
+                (
+                    0u8..27,
+                    proptest::collection::vec(0u8..4, 0..3),
+                    proptest::collection::vec(0u8..4, 0..3),
+                ),
+                0..40,
+            )
+        ) {
+            let rules: Vec<Rule> = raw.into_iter().map(drawn_rule).collect();
+            let mut fast = rules.clone();
+            sort_rules(&mut fast);
+            let mut oracle = rules;
+            oracle.sort_by(cloning_comparator);
+            proptest::prop_assert_eq!(fast, oracle);
+        }
     }
 }

@@ -15,11 +15,18 @@
 //! (crate::metrics::Metrics::builder_failures)), the engine is marked
 //! [`Stale`](crate::engine::ServingState::Stale), and the last good
 //! snapshot keeps answering — with `stale: true` on every response —
-//! until a later rebuild succeeds. `flush` acks the *old* generation on
+//! until a later rebuild succeeds. Acks carry the *old* generation on
 //! failure, so waiting ingesters never hang on a dead rebuild.
+//!
+//! An `ingest {wait: true}` sends its batch and its ack sender as one
+//! message ([`IngestQueue::ingest_acked`]). The builder acks each waiter
+//! with the first generation whose snapshot holds its batch, so a waited
+//! batch is published once; batches queued together share one rebuild
+//! and one generation. [`IngestQueue::flush`] still means "rebuild and
+//! publish even without new data".
 
 use std::path::PathBuf;
-use std::sync::mpsc::{self, Sender};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -144,7 +151,12 @@ impl Pipe {
 }
 
 enum Msg {
-    Ingest(Vec<Vec<Item>>),
+    /// A batch of transactions. With an ack, the builder answers with the
+    /// first generation whose snapshot holds the batch.
+    Ingest {
+        batch: Vec<Vec<Item>>,
+        ack: Option<Sender<u64>>,
+    },
     /// Rebuild + publish even without new data, then ack.
     Flush(Sender<u64>),
     Stop,
@@ -153,7 +165,7 @@ enum Msg {
 /// Handle to the builder thread. Dropping it without [`stop`] detaches
 /// the thread (it exits when the channel closes).
 pub struct BuilderHandle {
-    tx: Sender<Msg>,
+    queue: IngestQueue,
     thread: Option<JoinHandle<()>>,
 }
 
@@ -167,28 +179,24 @@ impl BuilderHandle {
     /// Queues a batch of transactions. Returns `false` if the builder
     /// thread has exited.
     pub fn ingest(&self, transactions: Vec<Vec<Item>>) -> bool {
-        self.tx.send(Msg::Ingest(transactions)).is_ok()
+        self.queue.ingest(transactions)
     }
 
     /// Forces a rebuild/publish and waits for it; returns the published
     /// generation, or `None` if the builder has exited.
     pub fn flush(&self) -> Option<u64> {
-        let (ack_tx, ack_rx) = mpsc::channel();
-        self.tx.send(Msg::Flush(ack_tx)).ok()?;
-        ack_rx.recv().ok()
+        self.queue.flush()
     }
 
     /// A cloneable submission handle for connection threads (`Sender`
     /// is `Send + Clone`, so each thread carries its own).
     pub fn queue(&self) -> IngestQueue {
-        IngestQueue {
-            tx: self.tx.clone(),
-        }
+        self.queue.clone()
     }
 
     /// Stops the builder thread and joins it.
     pub fn stop(mut self) {
-        let _ = self.tx.send(Msg::Stop);
+        let _ = self.queue.tx.send(Msg::Stop);
         if let Some(thread) = self.thread.take() {
             let _ = thread.join();
         }
@@ -210,14 +218,36 @@ impl std::fmt::Debug for IngestQueue {
 impl IngestQueue {
     /// Queues a batch; `false` if the builder has exited.
     pub fn ingest(&self, transactions: Vec<Vec<Item>>) -> bool {
-        self.tx.send(Msg::Ingest(transactions)).is_ok()
+        self.tx
+            .send(Msg::Ingest {
+                batch: transactions,
+                ack: None,
+            })
+            .is_ok()
     }
 
-    /// Rebuild + publish, waiting for the new generation.
+    /// Queues a batch and returns where its ack arrives: the first
+    /// generation whose snapshot holds the batch (the old generation if
+    /// that rebuild failed). No extra rebuild is asked for — batches
+    /// queued together share one. `None` if the builder has exited; a
+    /// receiver that errors means it exited before acking.
+    pub fn ingest_acked(&self, transactions: Vec<Vec<Item>>) -> Option<Receiver<u64>> {
+        let (ack, acked) = mpsc::channel();
+        self.tx
+            .send(Msg::Ingest {
+                batch: transactions,
+                ack: Some(ack),
+            })
+            .ok()?;
+        Some(acked)
+    }
+
+    /// Rebuild + publish even without new data, waiting for the new
+    /// generation.
     pub fn flush(&self) -> Option<u64> {
-        let (ack_tx, ack_rx) = mpsc::channel();
-        self.tx.send(Msg::Flush(ack_tx)).ok()?;
-        ack_rx.recv().ok()
+        let (ack, acked) = mpsc::channel();
+        self.tx.send(Msg::Flush(ack)).ok()?;
+        acked.recv().ok()
     }
 }
 
@@ -294,60 +324,17 @@ pub fn bootstrap(
     let thread = std::thread::Builder::new()
         .name("plt-snapshot-builder".into())
         .spawn(move || {
-            let mut generation = 1u64;
-            'serve: while let Ok(msg) = rx.recv() {
-                match msg {
-                    Msg::Ingest(mut batch) => {
-                        // Drain any queued batches so one rebuild covers
-                        // them all — rebuilds are the expensive part.
-                        loop {
-                            match rx.try_recv() {
-                                Ok(Msg::Ingest(more)) => batch.extend(more),
-                                Ok(Msg::Flush(ack)) => {
-                                    generation = ingest_and_publish(
-                                        &mut pipeline,
-                                        &engine_for_thread,
-                                        std::mem::take(&mut batch),
-                                        generation,
-                                        rule_config,
-                                        &mut sketch,
-                                        fault.as_deref(),
-                                    );
-                                    let _ = ack.send(generation);
-                                }
-                                Ok(Msg::Stop) | Err(mpsc::TryRecvError::Disconnected) => {
-                                    break 'serve;
-                                }
-                                Err(mpsc::TryRecvError::Empty) => break,
-                            }
-                        }
-                        if !batch.is_empty() {
-                            generation = ingest_and_publish(
-                                &mut pipeline,
-                                &engine_for_thread,
-                                batch,
-                                generation,
-                                rule_config,
-                                &mut sketch,
-                                fault.as_deref(),
-                            );
-                        }
-                    }
-                    Msg::Flush(ack) => {
-                        generation = ingest_and_publish(
-                            &mut pipeline,
-                            &engine_for_thread,
-                            Vec::new(),
-                            generation,
-                            rule_config,
-                            &mut sketch,
-                            fault.as_deref(),
-                        );
-                        let _ = ack.send(generation);
-                    }
-                    Msg::Stop => break 'serve,
-                }
-            }
+            run(&rx, 1, |batch, generation| {
+                ingest_and_publish(
+                    &mut pipeline,
+                    &engine_for_thread,
+                    batch,
+                    generation,
+                    rule_config,
+                    &mut sketch,
+                    fault.as_deref(),
+                )
+            });
             // Clean shutdown: checkpoint + fsync the durable store so
             // the next open has no WAL tail to replay.
             pipeline.shutdown();
@@ -357,10 +344,60 @@ pub fn bootstrap(
     Ok((
         engine,
         BuilderHandle {
-            tx,
+            queue: IngestQueue { tx },
             thread: Some(thread),
         },
     ))
+}
+
+/// The builder's message loop, starting at `generation`. `rebuild`
+/// applies a batch (possibly empty) and publishes, returning the new
+/// generation — or the old one if the rebuild failed.
+///
+/// Whatever is queued when the builder wakes is drained into one
+/// rebuild: rebuilds are the expensive part. Every waited ingest in
+/// that drain is acked with the generation the rebuild returns, so each
+/// ack names the first generation holding its batch, and a waited
+/// ingest costs no rebuild beyond its batch's own. A `Flush` rebuilds
+/// what was drained before it, even nothing. A drain that ends holding
+/// only empty waited batches publishes nothing and acks the current
+/// generation, which already holds everything queued before them.
+/// Returns on `Stop` (dropping a drain in progress; its waiters see the
+/// ack channel close) or once every sender is gone.
+fn run(
+    rx: &Receiver<Msg>,
+    mut generation: u64,
+    mut rebuild: impl FnMut(Vec<Vec<Item>>, u64) -> u64,
+) {
+    while let Ok(first) = rx.recv() {
+        let mut batch = Vec::new();
+        let mut acks = Vec::new();
+        let mut next = Some(first);
+        while let Some(msg) = next {
+            match msg {
+                Msg::Ingest { batch: more, ack } => {
+                    batch.extend(more);
+                    acks.extend(ack);
+                }
+                Msg::Flush(ack) => {
+                    generation = rebuild(std::mem::take(&mut batch), generation);
+                    for ack in acks.drain(..).chain([ack]) {
+                        let _ = ack.send(generation);
+                    }
+                }
+                Msg::Stop => return,
+            }
+            // Empty or disconnected: the drain ends either way, and a
+            // disconnect ends the outer loop after this rebuild.
+            next = rx.try_recv().ok();
+        }
+        if !batch.is_empty() {
+            generation = rebuild(batch, generation);
+        }
+        for ack in acks {
+            let _ = ack.send(generation);
+        }
+    }
 }
 
 /// One rebuild: apply the batch as an incremental delta, re-mine the
@@ -492,6 +529,109 @@ mod tests {
         let g2 = builder.flush().unwrap();
         assert!(g2 > g1);
         assert_eq!(engine.current().generation(), g2);
+        builder.stop();
+    }
+
+    #[test]
+    fn each_waited_ingest_publishes_once_at_its_first_generation() {
+        let (engine, builder) = bootstrap(&warmup(), config()).unwrap();
+        let queue = builder.queue();
+        let mut last = engine.current().generation();
+        for i in 0..4u32 {
+            // Each batch brings an item of its own, frequent only once
+            // the batch lands.
+            let item = 100 + i;
+            assert_eq!(engine.current().support(&[item]).support, 0);
+            let publishes = engine.metrics().publishes.load(Ordering::Relaxed);
+            let ack = queue.ingest_acked(vec![vec![0, item], vec![item]]).unwrap();
+            let generation = ack.recv().expect("builder acks");
+            assert_eq!(generation, last + 1, "one rebuild per waited batch");
+            assert_eq!(
+                engine.metrics().publishes.load(Ordering::Relaxed),
+                publishes + 1,
+                "exactly one publish per waited ingest"
+            );
+            let snap = engine.current();
+            assert_eq!(snap.generation(), generation);
+            assert_eq!(snap.support(&[item]).support, 2);
+            last = generation;
+        }
+        // An empty waited batch is held by the current generation
+        // already: acked without a rebuild.
+        let publishes = engine.metrics().publishes.load(Ordering::Relaxed);
+        let ack = queue.ingest_acked(Vec::new()).unwrap();
+        assert_eq!(ack.recv().unwrap(), last);
+        assert_eq!(
+            engine.metrics().publishes.load(Ordering::Relaxed),
+            publishes
+        );
+        builder.stop();
+    }
+
+    #[test]
+    fn coalesced_batches_share_one_rebuild_and_are_acked_with_it() {
+        // Queue everything before the loop runs, so the coalescing is
+        // deterministic: the loop drains it all in one wake-up.
+        let (tx, rx) = mpsc::channel();
+        let mut acks = Vec::new();
+        let mut waited = |tx: &Sender<Msg>, id: u32| {
+            let (ack, acked) = mpsc::channel();
+            tx.send(Msg::Ingest {
+                batch: vec![vec![id]],
+                ack: Some(ack),
+            })
+            .unwrap();
+            acks.push((id, acked));
+        };
+        waited(&tx, 0);
+        tx.send(Msg::Ingest {
+            batch: vec![vec![1]],
+            ack: None,
+        })
+        .unwrap();
+        waited(&tx, 2);
+        let (flush, flushed) = mpsc::channel();
+        tx.send(Msg::Flush(flush)).unwrap();
+        waited(&tx, 3);
+        waited(&tx, 4);
+        drop(tx);
+
+        // A stand-in rebuild that records what each generation holds.
+        let mut held: Vec<(u64, Vec<u32>)> = Vec::new();
+        let mut window = Vec::new();
+        run(&rx, 1, |batch, generation| {
+            window.extend(batch.into_iter().flatten());
+            held.push((generation + 1, window.clone()));
+            generation + 1
+        });
+
+        assert_eq!(held.len(), 2, "one rebuild per drain segment");
+        assert_eq!(flushed.recv().unwrap(), 2);
+        for (id, acked) in acks {
+            let first = held
+                .iter()
+                .find(|(_, items)| items.contains(&id))
+                .map(|&(generation, _)| generation)
+                .unwrap();
+            assert_eq!(acked.recv().unwrap(), first, "batch {id}");
+        }
+    }
+
+    #[test]
+    fn a_failed_rebuild_acks_the_old_generation() {
+        let fault = FaultPlan::shared(FaultConfig {
+            builder_panic: 1.0,
+            ..FaultConfig::disabled(5)
+        });
+        let cfg = BuilderConfig {
+            fault: Some(fault),
+            ..config()
+        };
+        let (engine, builder) = bootstrap(&warmup(), cfg).unwrap();
+        let ack = builder.queue().ingest_acked(vec![vec![0, 2]]).unwrap();
+        assert_eq!(ack.recv().expect("acked, not hung"), 1);
+        assert_eq!(engine.metrics().publishes.load(Ordering::Relaxed), 0);
+        assert!(engine.is_stale());
         builder.stop();
     }
 

@@ -135,8 +135,8 @@ impl Engine {
     /// (cached responses answered for the old generation; one a reader
     /// puts after the clear is never served, because a hit must match
     /// the current generation). In-flight requests keep their pinned
-    /// generation; the old snapshot is freed when its last guard
-    /// releases.
+    /// generation; once its last guard and reactor cache release it, the
+    /// old snapshot is freed on the reader pool's reclaimer thread.
     pub fn publish(&self, snapshot: Arc<Snapshot>) {
         let generation = snapshot.generation();
         self.snapshot.swap(snapshot, generation);

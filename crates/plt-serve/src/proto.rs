@@ -213,10 +213,36 @@ impl Request {
         }
     }
 
-    /// The canonical cache key: the compact rendering of the request.
-    /// Deterministic because `to_json` emits fields in a fixed order.
+    /// The canonical cache key. A cacheable request's key is written
+    /// straight from its fields, with no `Json` tree: a one-letter op
+    /// tag, then the fields in a fixed order (`s1,2` for
+    /// `support [1,2]`, `e5:1` for `extensions [1] k=5`). The other ops
+    /// are never cached and key by their compact JSON, which starts
+    /// with `{`, so no two requests share a key.
     pub fn cache_key(&self) -> String {
-        self.to_json().to_string()
+        use std::fmt::Write;
+        let tagged = |tag: char, head: Option<usize>, items: &[Item]| {
+            let mut key = String::with_capacity(2 + items.len() * 4);
+            key.push(tag);
+            if let Some(head) = head {
+                let _ = write!(key, "{head}:");
+            }
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    key.push(',');
+                }
+                let _ = write!(key, "{item}");
+            }
+            key
+        };
+        match self {
+            Request::Support { items } => tagged('s', None, items),
+            Request::TopK { k, min_size } => format!("t{k}:{min_size}"),
+            Request::Extensions { items, k } => tagged('e', Some(*k), items),
+            Request::Recommend { items, k } => tagged('r', Some(*k), items),
+            Request::Query { expr } => format!("q{expr}"),
+            _ => self.to_json().to_string(),
+        }
     }
 }
 
@@ -753,5 +779,35 @@ mod tests {
         // Item order is part of the key; the snapshot canonicalizes, the
         // cache does not need to.
         assert_ne!(a.cache_key(), c.cache_key());
+    }
+
+    #[test]
+    fn cache_keys_tell_requests_apart() {
+        let requests = [
+            Request::Support { items: vec![1, 2] },
+            Request::Support { items: vec![12] },
+            Request::Support { items: vec![] },
+            Request::TopK { k: 1, min_size: 12 },
+            Request::TopK { k: 11, min_size: 2 },
+            Request::Extensions {
+                items: vec![1],
+                k: 2,
+            },
+            Request::Extensions {
+                items: vec![],
+                k: 21,
+            },
+            Request::Recommend {
+                items: vec![1],
+                k: 2,
+            },
+            Request::Query { expr: "s1".into() },
+            Request::Query { expr: "".into() },
+            Request::Stats,
+            Request::Ping,
+        ];
+        let keys: std::collections::HashSet<String> =
+            requests.iter().map(Request::cache_key).collect();
+        assert_eq!(keys.len(), requests.len(), "{keys:?}");
     }
 }

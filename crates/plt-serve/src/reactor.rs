@@ -11,11 +11,11 @@
 //! partial-write resumption.
 //!
 //! A connection walks `Reading → Writing → Reading …`, detouring through
-//! `AwaitingFlush` for `ingest {wait:true}` (the blocking
-//! `IngestQueue::flush` runs on a per-reactor waiter thread; the
-//! connection stops decoding further frames until the completion
-//! arrives, preserving per-connection response ordering, and a slot
-//! *epoch* guards completions against slab reuse). Requests pin one
+//! `AwaitingAck` for `ingest {wait:true}` (the batch goes to the builder
+//! with its ack sender, and a per-reactor waiter thread blocks on the
+//! ack; the connection stops decoding further frames until the
+//! completion arrives, preserving per-connection response ordering, and
+//! a slot *epoch* guards completions against slab reuse). Requests pin one
 //! snapshot generation via the engine's
 //! [`ReaderPool`](crate::reader_pool::ReaderPool), through a per-reactor
 //! [`ReaderCache`] so the fast path takes no lock.
@@ -47,7 +47,7 @@ use crate::fault::{IoFault, Site};
 use crate::proto::Response;
 use crate::reader_pool::ReaderCache;
 use crate::server::{
-    await_flush, dispatch_request, wake_acceptor, Dispatch, ServerConfig, ServerHandle,
+    await_ingest, dispatch_request, wake_acceptor, Dispatch, ServerConfig, ServerHandle,
 };
 use crate::snapshot::Snapshot;
 
@@ -172,9 +172,9 @@ enum ConnState {
     Reading,
     /// Draining a response through partial writes.
     Writing,
-    /// An `ingest {wait:true}` flush is in flight on the waiter thread;
+    /// An `ingest {wait:true}` ack is awaited on the waiter thread;
     /// frame decoding is suspended to preserve response ordering.
-    AwaitingFlush,
+    AwaitingAck,
 }
 
 /// One nonblocking connection state machine.
@@ -184,14 +184,16 @@ struct Conn {
     /// Frames decoded but not yet dispatched (a pipelining client can
     /// land several per read).
     pending: VecDeque<String>,
-    /// A protocol-error frame owed to the peer once `pending` drains,
-    /// rendered in the envelope in force when the error was found.
+    /// A protocol error owed to the peer once `pending` drains. Only the
+    /// message is kept: the frame is rendered when it is queued, in the
+    /// envelope in force then (a pipelined `hello` ahead of the bad frame
+    /// has been answered by that point).
     pending_error: Option<String>,
     /// Outgoing bytes; `sent` of them are already on the wire.
     out: Vec<u8>,
     sent: usize,
     state: ConnState,
-    /// Guards async flush completions against slab-slot reuse.
+    /// Guards async ack completions against slab-slot reuse.
     epoch: u64,
     last_activity: Instant,
     /// Peer half-closed its write side (clean EOF seen).
@@ -205,17 +207,19 @@ struct Conn {
     version: u64,
 }
 
-/// Job for the waiter thread: run the blocking flush for a connection.
-struct FlushJob {
+/// Job for the waiter thread: wait for the builder's ack of one
+/// connection's `ingest {wait:true}`.
+struct AckJob {
     token: usize,
     epoch: u64,
     accepted: u64,
+    ack: Receiver<u64>,
 }
 
 /// Completion from the waiter thread. Rendered on the reactor in the
-/// connection's envelope, which cannot change while the flush is in
-/// flight (no frames are dispatched until it completes).
-struct FlushDone {
+/// connection's envelope, which cannot change while the ack is awaited
+/// (no frames are dispatched until it completes).
+struct AckDone {
     token: usize,
     epoch: u64,
     response: Response,
@@ -238,8 +242,8 @@ struct Reactor {
     epoll: Epoll,
     waker: Arc<Waker>,
     conn_rx: Receiver<TcpStream>,
-    flush_tx: Sender<FlushJob>,
-    done_rx: Receiver<FlushDone>,
+    ack_tx: Sender<AckJob>,
+    done_rx: Receiver<AckDone>,
     slab: Vec<Option<Conn>>,
     free: Vec<usize>,
     epoch: u64,
@@ -348,7 +352,7 @@ impl Reactor {
             return;
         };
         let mut want = sys::EPOLLRDHUP;
-        if !conn.read_closed && conn.state != ConnState::AwaitingFlush {
+        if !conn.read_closed && conn.state != ConnState::AwaitingAck {
             want |= sys::EPOLLIN;
         }
         if conn.sent < conn.out.len() {
@@ -471,22 +475,19 @@ impl Reactor {
         }
     }
 
-    /// Records a framing violation and parks the error frame to be sent
-    /// once earlier (already-decoded) requests have been answered.
+    /// Records a framing violation and parks its message, to be sent as
+    /// an error frame once earlier (already-decoded) requests have been
+    /// answered.
     fn protocol_error(&mut self, idx: usize, message: String) {
         self.engine
             .metrics()
             .protocol_errors
             .fetch_add(1, Ordering::Relaxed);
-        let conn = self.conn(idx);
-        if conn.pending_error.is_none() {
-            let version = conn.version;
-            conn.pending_error = Some(Response::err(message).render(version));
-        }
+        self.conn(idx).pending_error.get_or_insert(message);
     }
 
-    /// Dispatches decoded frames in order, stopping at an async flush
-    /// (ordering) or when the connection is marked for closure.
+    /// Dispatches decoded frames in order, stopping at an awaited ingest
+    /// ack (ordering) or when the connection is marked for closure.
     fn process_pending(&mut self, idx: usize) {
         enum Next {
             Frame(String),
@@ -499,7 +500,7 @@ impl Reactor {
             }
             let next = {
                 let conn = self.conn(idx);
-                if conn.state == ConnState::AwaitingFlush || conn.close_after_flush {
+                if conn.state == ConnState::AwaitingAck || conn.close_after_flush {
                     return;
                 }
                 if let Some(frame) = conn.pending.pop_front() {
@@ -513,8 +514,8 @@ impl Reactor {
             };
             match next {
                 Next::Frame(frame) => self.dispatch_one(idx, &frame),
-                Next::Error(error) => {
-                    self.queue_frame(idx, &error);
+                Next::Error(message) => {
+                    self.queue_response(idx, &Response::err(message));
                     return;
                 }
                 Next::Done => return,
@@ -547,15 +548,16 @@ impl Reactor {
                 self.conn(idx).close_after_flush = true;
                 self.queue_response(idx, &response);
             }
-            Dispatch::AwaitFlush { accepted } => {
+            Dispatch::AwaitIngest { accepted, ack } => {
                 let epoch = self.conn(idx).epoch;
-                self.transition(idx, ConnState::AwaitingFlush);
+                self.transition(idx, ConnState::AwaitingAck);
                 if self
-                    .flush_tx
-                    .send(FlushJob {
+                    .ack_tx
+                    .send(AckJob {
                         token: idx,
                         epoch,
                         accepted,
+                        ack,
                     })
                     .is_err()
                 {
@@ -625,7 +627,7 @@ impl Reactor {
             conn.read_closed
                 && conn.pending.is_empty()
                 && conn.pending_error.is_none()
-                && conn.state != ConnState::AwaitingFlush
+                && conn.state != ConnState::AwaitingAck
                 && conn.sent >= conn.out.len()
         };
         if done {
@@ -650,7 +652,7 @@ impl Reactor {
         }
     }
 
-    fn handle_completion(&mut self, done: FlushDone) {
+    fn handle_completion(&mut self, done: AckDone) {
         let idx = done.token;
         // The slot may have been reused since the job was queued; the
         // epoch check makes a late completion a no-op instead of a
@@ -659,7 +661,7 @@ impl Reactor {
             let Some(conn) = self.slab.get_mut(idx).and_then(Option::as_mut) else {
                 return;
             };
-            conn.epoch == done.epoch && conn.state == ConnState::AwaitingFlush
+            conn.epoch == done.epoch && conn.state == ConnState::AwaitingAck
         };
         if !live {
             return;
@@ -685,9 +687,9 @@ impl Reactor {
             let deadline = match conn.state {
                 ConnState::Reading => self.config.read_deadline,
                 ConnState::Writing => self.config.write_deadline,
-                // A flush can legitimately outlast both deadlines; the
+                // A rebuild can legitimately outlast both deadlines; the
                 // builder's own health is watched elsewhere.
-                ConnState::AwaitingFlush => None,
+                ConnState::AwaitingAck => None,
             };
             if let Some(d) = deadline {
                 if now.duration_since(conn.last_activity) > d {
@@ -751,19 +753,18 @@ impl Reactor {
     }
 }
 
-/// Waiter thread: runs blocking `flush` calls so the reactor never
-/// parks. One per reactor; flushes serialize behind the builder anyway.
+/// Waiter thread: blocks on builder acks so the reactor never parks.
+/// One per reactor; rebuilds serialize behind the builder anyway.
 fn waiter_loop(
-    ingest: Option<IngestQueue>,
     engine: Arc<Engine>,
-    jobs: Receiver<FlushJob>,
-    done: Sender<FlushDone>,
+    jobs: Receiver<AckJob>,
+    done: Sender<AckDone>,
     waker: Arc<Waker>,
 ) {
     while let Ok(job) = jobs.recv() {
-        let response = await_flush(&engine, ingest.as_ref(), job.accepted);
+        let response = await_ingest(&engine, job.accepted, job.ack);
         if done
-            .send(FlushDone {
+            .send(AckDone {
                 token: job.token,
                 epoch: job.epoch,
                 response,
@@ -871,8 +872,8 @@ pub(crate) fn serve_reactor(
     for i in 0..reactors {
         let (conn_tx, conn_rx) = mpsc::sync_channel::<TcpStream>(config.accept_backlog.max(1));
         queues.push(conn_tx);
-        let (flush_tx, flush_rx) = mpsc::channel::<FlushJob>();
-        let (done_tx, done_rx) = mpsc::channel::<FlushDone>();
+        let (ack_tx, ack_rx) = mpsc::channel::<AckJob>();
+        let (done_tx, done_rx) = mpsc::channel::<AckDone>();
         let waker = wakers[i].clone();
 
         let epoll = Epoll::new()?;
@@ -882,10 +883,9 @@ pub(crate) fn serve_reactor(
             std::thread::Builder::new()
                 .name(format!("plt-serve-waiter-{i}"))
                 .spawn({
-                    let ingest = ingest.clone();
                     let engine = engine.clone();
                     let waker = waker.clone();
-                    move || waiter_loop(ingest, engine, flush_rx, done_tx, waker)
+                    move || waiter_loop(engine, ack_rx, done_tx, waker)
                 })?,
         );
 
@@ -894,7 +894,7 @@ pub(crate) fn serve_reactor(
             epoll,
             waker,
             conn_rx,
-            flush_tx,
+            ack_tx,
             done_rx,
             slab: Vec::new(),
             free: Vec::new(),

@@ -10,8 +10,15 @@
 //!    value that was current when it was pinned; its reported generation
 //!    never changes mid-request.
 //! 2. **No early frees.** A swapped-out value stays alive while any guard
-//!    pins it, and is dropped as soon as the last guard releases (plain
-//!    `Arc` reachability — the pool keeps no reference to old slots).
+//!    or worker cache pins its slot. Whoever releases the slot's last
+//!    reference hands the value to the pool's *reclaimer* thread, which
+//!    drops it at once — the pool itself keeps no reference to old slots.
+//!
+//! The reclaimer exists because a retired snapshot is large (tens of
+//! thousands of itemsets, rules and position vectors) and freeing it
+//! takes milliseconds. Without it, the reader that refreshes last — a
+//! reactor answering a request — would pay that free before replying.
+//! With it, releasing a slot costs a reader one channel send.
 //!
 //! The hot path is engineered for readers: the common case (`pin` while
 //! no swap happened) is one `RwLock` read held for an `Arc` clone — and
@@ -22,18 +29,74 @@
 
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, RwLock};
+
+/// What the reclaimer thread receives.
+enum Retired<T> {
+    /// A swapped-out value whose slot was released; dropped on arrival.
+    Value(Arc<T>),
+    /// Acked once everything sent before it has been dropped.
+    #[cfg(test)]
+    Fence(Sender<()>),
+}
+
+/// The reclaimer thread's loop. It exits once every sender — the pool's
+/// and each live slot's — is gone.
+fn reclaim<T>(retired: Receiver<Retired<T>>) {
+    for item in retired {
+        match item {
+            Retired::Value(value) => drop(value),
+            #[cfg(test)]
+            Retired::Fence(ack) => {
+                let _ = ack.send(());
+            }
+        }
+    }
+}
 
 /// One published generation: the value plus its pin ledger.
 #[derive(Debug)]
-struct Slot<T> {
-    value: Arc<T>,
+struct Slot<T: Send + Sync + 'static> {
+    /// `Some` for the slot's whole life; `Drop` moves it to the
+    /// reclaimer.
+    value: Option<Arc<T>>,
     generation: u64,
     /// Guards handed out against this slot.
     pinned: AtomicU64,
     /// Guards released. `pinned - released` = requests in flight on this
     /// generation.
     released: AtomicU64,
+    reclaimer: Sender<Retired<T>>,
+}
+
+impl<T: Send + Sync + 'static> Slot<T> {
+    fn new(value: Arc<T>, generation: u64, reclaimer: &Sender<Retired<T>>) -> Slot<T> {
+        Slot {
+            value: Some(value),
+            generation,
+            pinned: AtomicU64::new(0),
+            released: AtomicU64::new(0),
+            reclaimer: reclaimer.clone(),
+        }
+    }
+
+    fn value(&self) -> &Arc<T> {
+        self.value
+            .as_ref()
+            .expect("a slot holds its value until it drops")
+    }
+}
+
+impl<T: Send + Sync + 'static> Drop for Slot<T> {
+    fn drop(&mut self) {
+        if let Some(value) = self.value.take() {
+            // The reclaimer outlives every slot (each holds a sender)
+            // unless it panicked; then the value comes back and drops
+            // here.
+            let _ = self.reclaimer.send(Retired::Value(value));
+        }
+    }
 }
 
 /// Pins one generation's value for the lifetime of a request.
@@ -42,11 +105,11 @@ struct Slot<T> {
 /// pins once and carries the guard; a second pin would be a second
 /// request.
 #[derive(Debug)]
-pub struct ReadGuard<T> {
+pub struct ReadGuard<T: Send + Sync + 'static> {
     slot: Arc<Slot<T>>,
 }
 
-impl<T> ReadGuard<T> {
+impl<T: Send + Sync + 'static> ReadGuard<T> {
     /// The generation this guard pinned (fixed at pin time).
     pub fn generation(&self) -> u64 {
         self.slot.generation
@@ -54,21 +117,22 @@ impl<T> ReadGuard<T> {
 
     /// A clone of the pinned value's `Arc` — for callers that need to
     /// move the value somewhere the guard cannot follow. The guard keeps
-    /// its own pin either way.
+    /// its own pin either way. A value held this way is freed by whoever
+    /// drops the last clone, not by the reclaimer.
     pub fn value_arc(&self) -> Arc<T> {
-        self.slot.value.clone()
+        Arc::clone(self.slot.value())
     }
 }
 
-impl<T> Deref for ReadGuard<T> {
+impl<T: Send + Sync + 'static> Deref for ReadGuard<T> {
     type Target = T;
 
     fn deref(&self) -> &T {
-        &self.slot.value
+        self.slot.value()
     }
 }
 
-impl<T> Drop for ReadGuard<T> {
+impl<T: Send + Sync + 'static> Drop for ReadGuard<T> {
     fn drop(&mut self) {
         self.slot.released.fetch_add(1, Ordering::Relaxed);
     }
@@ -79,40 +143,54 @@ impl<T> Drop for ReadGuard<T> {
 /// against the pool's lock-free generation gauge on every
 /// [`ReaderPool::pin_with`]; stale caches refresh through the lock once
 /// per swap, not once per request.
-#[derive(Debug, Default)]
-pub struct ReaderCache<T> {
+#[derive(Debug)]
+pub struct ReaderCache<T: Send + Sync + 'static> {
     slot: Option<Arc<Slot<T>>>,
 }
 
-impl<T> ReaderCache<T> {
+impl<T: Send + Sync + 'static> ReaderCache<T> {
     pub fn new() -> ReaderCache<T> {
         ReaderCache { slot: None }
     }
 }
 
+impl<T: Send + Sync + 'static> Default for ReaderCache<T> {
+    fn default() -> Self {
+        ReaderCache::new()
+    }
+}
+
 /// The swap point: readers pin, a writer publishes.
 #[derive(Debug)]
-pub struct ReaderPool<T> {
+pub struct ReaderPool<T: Send + Sync + 'static> {
     current: RwLock<Arc<Slot<T>>>,
     /// Mirror of the current slot's generation, readable without the
     /// lock — the staleness check for [`ReaderCache`]s.
     generation: AtomicU64,
     /// Swaps performed over the pool's lifetime.
     swaps: AtomicU64,
+    /// Hands released values to the reclaimer thread; each new slot
+    /// carries a clone.
+    reclaimer: Sender<Retired<T>>,
 }
 
-impl<T> ReaderPool<T> {
-    /// A pool serving `value` as `generation`.
+impl<T: Send + Sync + 'static> ReaderPool<T> {
+    /// A pool serving `value` as `generation`, with its own reclaimer
+    /// thread.
     pub fn new(value: Arc<T>, generation: u64) -> ReaderPool<T> {
+        let (reclaimer, retired) = mpsc::channel();
+        // Detached on purpose: slots held by guards and reader caches
+        // may outlive the pool, and their values must still reach the
+        // reclaimer. It exits once the last of those senders is gone.
+        std::thread::Builder::new()
+            .name("plt-serve-reclaimer".into())
+            .spawn(move || reclaim(retired))
+            .expect("spawn reclaimer thread");
         ReaderPool {
-            current: RwLock::new(Arc::new(Slot {
-                value,
-                generation,
-                pinned: AtomicU64::new(0),
-                released: AtomicU64::new(0),
-            })),
+            current: RwLock::new(Arc::new(Slot::new(value, generation, &reclaimer))),
             generation: AtomicU64::new(generation),
             swaps: AtomicU64::new(0),
+            reclaimer,
         }
     }
 
@@ -126,7 +204,9 @@ impl<T> ReaderPool<T> {
 
     /// Pins through a per-worker cache: when no swap happened since the
     /// cache last refreshed (the common case), this is entirely
-    /// lock-free — one relaxed load against the generation gauge.
+    /// lock-free — one relaxed load against the generation gauge. A
+    /// refresh that releases a retired slot's last reference costs one
+    /// channel send; the reclaimer frees the value.
     pub fn pin_with(&self, cache: &mut ReaderCache<T>) -> ReadGuard<T> {
         let current_generation = self.generation.load(Ordering::Acquire);
         let fresh = matches!(&cache.slot, Some(slot) if slot.generation == current_generation);
@@ -139,15 +219,10 @@ impl<T> ReaderPool<T> {
     }
 
     /// Publishes `value` as `generation`. In-flight guards keep their
-    /// pinned slot; the swapped-out value is freed by `Arc` reachability
-    /// once its last guard (and any caches still holding it) release.
+    /// pinned slot; once its last guard (and any cache still holding it)
+    /// releases, the swapped-out value goes to the reclaimer.
     pub fn swap(&self, value: Arc<T>, generation: u64) {
-        let slot = Arc::new(Slot {
-            value,
-            generation,
-            pinned: AtomicU64::new(0),
-            released: AtomicU64::new(0),
-        });
+        let slot = Arc::new(Slot::new(value, generation, &self.reclaimer));
         // Order matters for cache revalidation: install the slot first,
         // then advance the gauge — a cache that sees the new generation
         // must find the new slot behind the lock.
@@ -172,6 +247,16 @@ impl<T> ReaderPool<T> {
     pub fn active_pins(&self) -> u64 {
         let slot = self.current.read().unwrap().clone();
         slot.pinned.load(Ordering::Relaxed) - slot.released.load(Ordering::Relaxed)
+    }
+
+    /// Blocks until the reclaimer has dropped every value released so
+    /// far, so a test can count references without racing it.
+    #[cfg(test)]
+    fn settle(&self) {
+        let (ack, done) = mpsc::channel();
+        if self.reclaimer.send(Retired::Fence(ack)).is_ok() {
+            let _ = done.recv();
+        }
     }
 }
 
@@ -203,7 +288,47 @@ mod tests {
         drop(a);
         assert!(Arc::strong_count(&old) >= 2, "b still pins");
         drop(b);
+        pool.settle();
         assert_eq!(Arc::strong_count(&old), 1, "only the test's handle left");
+    }
+
+    /// Records the name of the thread that drops it.
+    struct DropProbe {
+        dropped_on: Arc<std::sync::Mutex<Option<String>>>,
+    }
+
+    impl Drop for DropProbe {
+        fn drop(&mut self) {
+            let name = std::thread::current().name().map(str::to_owned);
+            *self.dropped_on.lock().unwrap() = Some(name.unwrap_or_default());
+        }
+    }
+
+    #[test]
+    fn retired_values_are_freed_on_the_reclaimer_thread() {
+        let dropped_on = Arc::new(std::sync::Mutex::new(None));
+        let probe = DropProbe {
+            dropped_on: dropped_on.clone(),
+        };
+        let pool = ReaderPool::new(Arc::new(probe), 1);
+        let mut cache = ReaderCache::new();
+        let guard = pool.pin_with(&mut cache);
+        let successor = DropProbe {
+            dropped_on: Arc::new(std::sync::Mutex::new(None)),
+        };
+        pool.swap(Arc::new(successor), 2);
+        // The cache refreshes onto generation 2; the guard still pins 1.
+        drop(pool.pin_with(&mut cache));
+        pool.settle();
+        assert_eq!(*dropped_on.lock().unwrap(), None, "freed while pinned");
+        // The last reference goes here, on the test thread — yet the
+        // value must be freed on the reclaimer.
+        drop(guard);
+        pool.settle();
+        assert_eq!(
+            dropped_on.lock().unwrap().as_deref(),
+            Some("plt-serve-reclaimer")
+        );
     }
 
     #[test]
@@ -334,7 +459,9 @@ mod tests {
 
             // Invariant 2, mid-run: every *old* generation's liveness is
             // explained by its guards (the pool itself only references
-            // the newest; caches may hold at most one slot each).
+            // the newest; caches may hold at most one slot each), once
+            // the reclaimer has dropped what was released.
+            pool.settle();
             for (idx, v) in values.borrow().iter().enumerate() {
                 let gen = idx as u64 + 1;
                 if gen == generation {
@@ -361,6 +488,7 @@ mod tests {
             // handle — nothing leaks, nothing double-frees.
             guards.clear();
             drop(caches);
+            pool.settle();
             for (idx, v) in values.borrow().iter().enumerate() {
                 let gen = idx as u64 + 1;
                 let expect = if gen == generation { 2 } else { 1 };

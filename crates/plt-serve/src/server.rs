@@ -17,6 +17,7 @@
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -157,14 +158,14 @@ pub(crate) enum Dispatch {
     Respond(Response),
     /// Write this response, then stop the whole server.
     ShutdownRequested(Response),
-    /// An `ingest {wait: true}` was submitted; run the blocking
-    /// [`await_flush`] (on a waiter thread for the reactor, inline for
-    /// the fallback) and answer with its reply.
-    AwaitFlush { accepted: u64 },
+    /// An `ingest {wait: true}` was submitted with its ack; run the
+    /// blocking [`await_ingest`] (on a waiter thread for the reactor,
+    /// inline for the fallback) and answer with its reply.
+    AwaitIngest { accepted: u64, ack: Receiver<u64> },
 }
 
 /// Parses and dispatches one request payload. Everything except the
-/// flush wait and the stop-flag plumbing happens here. `reader`, when
+/// ingest ack wait and the stop-flag plumbing happens here. `reader`, when
 /// given, pins snapshots through a per-worker cache (the reactor's
 /// lock-free path). `version` is the connection's negotiated envelope
 /// version, which a `hello` updates; the caller renders the returned
@@ -201,12 +202,16 @@ pub(crate) fn dispatch_request(
             None => Dispatch::Respond(Response::err("this server has no ingest pipeline")),
             Some(queue) => {
                 let accepted = transactions.len() as u64;
-                if !queue.ingest(transactions) {
-                    Dispatch::Respond(Response::err("snapshot builder has exited"))
-                } else if wait {
-                    Dispatch::AwaitFlush { accepted }
-                } else {
+                let exited = || Dispatch::Respond(Response::err("snapshot builder has exited"));
+                if wait {
+                    match queue.ingest_acked(transactions) {
+                        Some(ack) => Dispatch::AwaitIngest { accepted, ack },
+                        None => exited(),
+                    }
+                } else if queue.ingest(transactions) {
                     Dispatch::Respond(Response::ok(&[("accepted", Json::from(accepted))]))
+                } else {
+                    exited()
                 }
             }
         },
@@ -214,18 +219,14 @@ pub(crate) fn dispatch_request(
     }
 }
 
-/// Runs the blocking flush behind an `ingest {wait: true}`; the reply is
-/// `accepted` plus the published generation.
-pub(crate) fn await_flush(
-    engine: &Engine,
-    ingest: Option<&IngestQueue>,
-    accepted: u64,
-) -> Response {
-    match ingest.and_then(|q| q.flush()) {
-        Some(generation) => {
+/// Waits for the builder's ack of an `ingest {wait: true}`; the reply is
+/// `accepted` plus the first generation that holds the batch.
+pub(crate) fn await_ingest(engine: &Engine, accepted: u64, ack: Receiver<u64>) -> Response {
+    match ack.recv() {
+        Ok(generation) => {
             Response::ok(&[("accepted", Json::from(accepted))]).at(generation, engine.is_stale())
         }
-        None => Response::err("snapshot builder has exited"),
+        Err(_) => Response::err("snapshot builder has exited"),
     }
 }
 
@@ -247,7 +248,7 @@ mod blocking {
     use std::sync::Arc;
 
     use super::{
-        await_flush, dispatch_request, wake_acceptor, Dispatch, ServerConfig, ServerHandle,
+        await_ingest, dispatch_request, wake_acceptor, Dispatch, ServerConfig, ServerHandle,
     };
     use crate::builder::IngestQueue;
     use crate::engine::Engine;
@@ -407,7 +408,7 @@ mod blocking {
                     let _ = write_frame_with(&mut writer, &response.render(version), frame_fault);
                     return true;
                 }
-                Dispatch::AwaitFlush { accepted } => await_flush(engine, ingest, accepted),
+                Dispatch::AwaitIngest { accepted, ack } => await_ingest(engine, accepted, ack),
             };
             if let Err(e) = write_frame_with(&mut writer, &response.render(version), frame_fault) {
                 if is_timeout(&e) {

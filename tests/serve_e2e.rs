@@ -201,6 +201,36 @@ fn ingest_republishes_and_answers_reflect_the_new_window() {
 }
 
 #[test]
+fn each_waited_ingest_publishes_exactly_once_over_the_wire() {
+    let warmup = vec![vec![1, 2], vec![1, 2], vec![1, 3]];
+    for version in VERSIONS {
+        let (handle, builder) = start(&warmup, 2);
+        let mut client = connect(handle.addr(), version);
+        let publishes = |client: &mut Client| {
+            client
+                .stats()
+                .expect("stats")
+                .get("publishes")
+                .and_then(|v| v.as_u64())
+        };
+        assert_eq!(publishes(&mut client), Some(0));
+        let mut last = client.ping().expect("ping");
+        for round in 1..=3u64 {
+            let generation = client
+                .ingest(vec![vec![1, 2]], true)
+                .expect("ingest")
+                .expect("generation in wait mode");
+            assert_eq!(generation, last + 1, "v{version}: one rebuild per batch");
+            assert_eq!(publishes(&mut client), Some(round), "v{version}");
+            last = generation;
+        }
+        client.shutdown().expect("shutdown");
+        handle.join();
+        builder.stop();
+    }
+}
+
+#[test]
 fn concurrent_clients_get_consistent_answers() {
     let warmup: Vec<Vec<u32>> = (0..50).map(|i| vec![1, 2, 3 + (i % 3) as u32]).collect();
     for version in VERSIONS {

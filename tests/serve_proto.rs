@@ -366,6 +366,42 @@ fn error_frames_match_the_goldens_for_both_envelope_versions() {
     builder.stop();
 }
 
+/// A framing error is answered in the envelope in force when its frame
+/// is sent, not when it is decoded: a `hello` pipelined in the same
+/// write as a malformed header switches the connection to v2 first, so
+/// the error frame that follows its ack is a v2 frame too.
+#[test]
+fn a_framing_error_after_a_pipelined_hello_is_a_v2_frame() {
+    use plt::serve::json::Json;
+    use std::io::Write;
+
+    let (handle, builder) = start_server();
+    let mut s = std::net::TcpStream::connect(handle.addr()).expect("connect");
+    s.set_read_timeout(Some(std::time::Duration::from_secs(5)))
+        .unwrap();
+    let hello = r#"{"op":"hello","version":2}"#;
+    s.write_all(format!("{}\n{hello}\nnotanumber\n", hello.len()).as_bytes())
+        .expect("one write");
+    let mut r = std::io::BufReader::new(s);
+    let ack = read_frame(&mut r).expect("hello ack");
+    assert_eq!(
+        Json::parse(&ack).unwrap().get("v").and_then(Json::as_u64),
+        Some(2)
+    );
+    let error = read_frame(&mut r).expect("error frame");
+    assert_eq!(
+        error,
+        r#"{"v":2,"status":"error","stale":false,"approx":false,"error_bound":null,"generation":null,"data":{"error":"invalid frame header \"notanumber\\n\""}}"#
+    );
+    assert_eq!(
+        read_frame(&mut r),
+        None,
+        "framing errors close the connection"
+    );
+    handle.shutdown();
+    builder.stop();
+}
+
 /// Requests of the success-frame goldens, in the order they are sent on
 /// one connection. The read requests run twice (the first pass misses
 /// the response cache, the second hits it); the no-wait ingest acks and
